@@ -5,14 +5,13 @@ the master seed; flags only override the seed, the worker count, and the
 output directory.  Reports are canonical JSON (sorted keys, no timestamps)
 plus plot-ready CSV, so identical configs always produce identical bytes.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 bad config or
-inadmissible system.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 bad config,
+inadmissible system, or certificate constants too large for a float.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -22,6 +21,7 @@ from pathlib import Path
 
 from .dynamics import (
     SystemSpec,
+    _write_csv,
     derive_seed,
     system_digest,
     system_from_dict,
@@ -158,7 +158,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # NaN and infinities are not JSON; refuse them rather than write them
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _envelope(config: ExperimentConfig, result: dict) -> dict:
@@ -170,14 +171,15 @@ def _envelope(config: ExperimentConfig, result: dict) -> dict:
     }
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ----------------------------------------------------------------- pipelines
+
+
+def _hypothesis(config: ExperimentConfig) -> list:
+    """Radius, contraction and lipschitz of the geometric-mixing hypothesis."""
+    return [
+        float(config.param(key, required=True))
+        for key in ("radius", "contraction", "lipschitz")
+    ]
 
 
 def cmd_certify(config: ExperimentConfig) -> dict:
@@ -208,13 +210,11 @@ def cmd_certify(config: ExperimentConfig) -> dict:
             "bound_curve": curve,
         }
     else:
-        radius = float(config.param("radius", required=True))
-        contraction = float(config.param("contraction", required=True))
-        lipschitz = float(config.param("lipschitz", required=True))
+        hypothesis = _hypothesis(config)
         alpha = float(config.param("alpha", required=True))
-        moment = slds_exp_lyapunov(spec, radius, contraction, lipschitz, alpha)
+        moment = slds_exp_lyapunov(spec, *hypothesis, alpha)
         drift = drift_from_exp_lyapunov(moment)
-        geometric = slds_geometric_drift(spec, radius, contraction, lipschitz)
+        geometric = slds_geometric_drift(spec, *hypothesis)
         result = {
             "kind": "slds_certificates",
             "exponential_moment": moment.to_dict(),
@@ -231,13 +231,8 @@ def _resolve_te_constant(config: ExperimentConfig, spec: SystemSpec) -> float:
     explicit = config.param("te_constant")
     if explicit is not None:
         return float(explicit)
-    moment = slds_exp_lyapunov(
-        spec,
-        float(config.param("radius", required=True)),
-        float(config.param("contraction", required=True)),
-        float(config.param("lipschitz", required=True)),
-        float(config.param("alpha", required=True)),
-    )
+    hypothesis = _hypothesis(config)
+    moment = slds_exp_lyapunov(spec, *hypothesis, float(config.param("alpha", required=True)))
     return te_constant(drift_from_exp_lyapunov(moment))
 
 
@@ -247,61 +242,42 @@ def _run_deviation(config: ExperimentConfig, workers: int):
     reward = config.param("reward", "norm")
     if reward not in ("norm", "coordinate"):
         raise ConfigError("config rewards are limited to 'norm' and 'coordinate'")
-    epsilons = config.param("epsilons", required=True)
-    replications = int(config.param("replications", required=True))
-    n_samples = int(config.param("n_samples", required=True))
-    target_mean = config.param("target_mean")
-    target_provenance = config.param("target_provenance")
-
+    shared = {
+        "spec": spec,
+        "reward": reward,
+        "epsilons": config.param("epsilons", required=True),
+        "replications": int(config.param("replications", required=True)),
+        "n_samples": int(config.param("n_samples", required=True)),
+        "seed": config.seed,
+        "target_mean": config.param("target_mean"),
+        "target_provenance": config.param("target_provenance"),
+        "target_samples": int(config.param("target_samples", 100_000)),
+        "workers": workers,
+    }
     if mode == "trajectory":
-        report = deviation_probability_experiment(
-            spec,
-            reward,
-            config.param("x0", required=True),
-            n_samples,
-            epsilons,
-            replications,
-            config.seed,
-            target_mean=target_mean,
-            target_provenance=target_provenance,
-            workers=workers,
+        return deviation_probability_experiment(
+            x0=config.param("x0", required=True),
             bias_samples=int(config.param("bias_samples", 512)),
             bias_burn_in=int(config.param("bias_burn_in", 200)),
-            target_samples=int(config.param("target_samples", 100_000)),
+            **shared,
         )
-    elif mode == "iid":
-        report = iid_deviation_experiment(
-            spec,
-            reward,
-            n_samples,
-            replications,
-            int(config.param("burn_in", required=True)),
-            epsilons,
-            _resolve_te_constant(config, spec),
-            config.seed,
-            target_mean=target_mean,
-            target_provenance=target_provenance,
-            workers=workers,
+    if mode == "iid":
+        return iid_deviation_experiment(
+            burn_in=int(config.param("burn_in", required=True)),
+            te_const=_resolve_te_constant(config, spec),
             diagnostic_samples=int(config.param("diagnostic_samples", 512)),
-            target_samples=int(config.param("target_samples", 100_000)),
+            **shared,
         )
-    else:
-        raise ConfigError(f"unknown deviation mode: {mode!r}")
-    return report
+    raise ConfigError(f"unknown deviation mode: {mode!r}")
 
 
-def _run_drift_check(config: ExperimentConfig, workers: int):
+def _run_drift_check(config: ExperimentConfig):
     spec = config.require_system()
     x_grid = config.param("x_grid", required=True)
     samples = int(config.param("samples_per_point", 2000))
     certificate = None
     if config.param("radius") is not None:
-        certificate = slds_geometric_drift(
-            spec,
-            float(config.param("radius", required=True)),
-            float(config.param("contraction", required=True)),
-            float(config.param("lipschitz", required=True)),
-        )
+        certificate = slds_geometric_drift(spec, *_hypothesis(config))
     report = empirical_drift_check(
         spec, x_grid, samples, config.seed, certificate=certificate
     )
@@ -338,8 +314,8 @@ def _run_contraction(config: ExperimentConfig, workers: int):
 def cmd_verify(config: ExperimentConfig, workers: int = 1):
     """Run the configured verification experiment.
 
-    Returns (result dict, passed flag); the caller maps the flag to the
-    exit code and writes the files.
+    Returns (report, passed flag); the report writes its own JSON dict and
+    CSV rows, and the caller maps the flag to the exit code.
     """
     if config.pipeline not in _VERIFY_PIPELINES:
         raise ConfigError(
@@ -347,12 +323,10 @@ def cmd_verify(config: ExperimentConfig, workers: int = 1):
         )
     if config.pipeline == "verify-deviation":
         report = _run_deviation(config, workers)
-        return report.to_dict(), report.all_pass
+        return report, report.all_pass
     if config.pipeline == "verify-lyapunov":
-        report, passed = _run_drift_check(config, workers)
-        return report.to_dict(), passed
-    fit, passed = _run_contraction(config, workers)
-    return fit.to_dict(), passed
+        return _run_drift_check(config)
+    return _run_contraction(config, workers)
 
 
 def _sweep_rows(config: ExperimentConfig):
@@ -361,73 +335,35 @@ def _sweep_rows(config: ExperimentConfig):
     if not isinstance(grid, (list, tuple)) or len(grid) == 0:
         raise ConfigError("sweep grid must be a nonempty list")
 
-    if variable == "n_samples":
-        spec = config.require_system()
-        t1, contraction = lds_certificate(spec)
-        lipschitz = float(config.param("lipschitz", 1.0))
-        epsilon = float(config.param("epsilon", required=True))
-        header = ["n_samples", "tensorized_constant", "bound"]
+    if variable in ("n_samples", "epsilon", "rate"):
+        # one certificate per grid point, with the swept field overridden
+        casts = {"n_samples": int, "epsilon": float, "rate": float}
+        if variable == "rate":
+            base = {"constant": float(config.param("constant", 1.0))}
+        else:
+            t1, contraction = lds_certificate(config.require_system())
+            base = {"constant": t1.constant, "rate": contraction.rate}
+        base["lipschitz"] = float(config.param("lipschitz", 1.0))
+        for key in ("n_samples", "epsilon"):
+            if key != variable:
+                base[key] = casts[key](config.param(key, required=True))
+        header = [variable, "bound"]
+        if variable != "epsilon":
+            header.insert(1, "tensorized_constant")
         rows = []
-        for n in grid:
-            cert = ConcentrationCertificate(
-                constant=t1.constant,
-                rate=contraction.rate,
-                n_samples=int(n),
-                lipschitz=lipschitz,
-                bias=0.0,
-            )
-            rows.append(
-                [
-                    int(n),
-                    tensorized_constant(t1.constant, contraction.rate, int(n)),
-                    trajectory_deviation_bound(cert, epsilon),
-                ]
-            )
-        return variable, header, rows
-
-    if variable == "epsilon":
-        spec = config.require_system()
-        t1, contraction = lds_certificate(spec)
-        cert = ConcentrationCertificate(
-            constant=t1.constant,
-            rate=contraction.rate,
-            n_samples=int(config.param("n_samples", required=True)),
-            lipschitz=float(config.param("lipschitz", 1.0)),
-            bias=0.0,
-        )
-        header = ["epsilon", "bound"]
-        rows = [[float(e), trajectory_deviation_bound(cert, float(e))] for e in grid]
-        return variable, header, rows
-
-    if variable == "rate":
-        constant = float(config.param("constant", 1.0))
-        lipschitz = float(config.param("lipschitz", 1.0))
-        n_samples = int(config.param("n_samples", required=True))
-        epsilon = float(config.param("epsilon", required=True))
-        header = ["rate", "tensorized_constant", "bound"]
-        rows = []
-        for r in grid:
-            cert = ConcentrationCertificate(
-                constant=constant,
-                rate=float(r),
-                n_samples=n_samples,
-                lipschitz=lipschitz,
-                bias=0.0,
-            )
-            rows.append(
-                [
-                    float(r),
-                    tensorized_constant(constant, float(r), n_samples),
-                    trajectory_deviation_bound(cert, epsilon),
-                ]
-            )
+        for value in map(casts[variable], grid):
+            fields = {**base, variable: value}
+            epsilon = fields.pop("epsilon")
+            cert = ConcentrationCertificate(**fields)
+            row = [value]
+            if variable != "epsilon":
+                row.append(tensorized_constant(cert.constant, cert.rate, cert.n_samples))
+            rows.append(row + [trajectory_deviation_bound(cert, epsilon)])
         return variable, header, rows
 
     if variable == "alpha":
         spec = config.require_system()
-        radius = float(config.param("radius", required=True))
-        contraction = float(config.param("contraction", required=True))
-        lipschitz = float(config.param("lipschitz", required=True))
+        hypothesis = _hypothesis(config)
         header = [
             "alpha",
             "beta",
@@ -439,7 +375,7 @@ def _sweep_rows(config: ExperimentConfig):
         ]
         rows = []
         for a in grid:
-            moment = slds_exp_lyapunov(spec, radius, contraction, lipschitz, float(a))
+            moment = slds_exp_lyapunov(spec, *hypothesis, float(a))
             drift = drift_from_exp_lyapunov(moment)
             rows.append(
                 [
@@ -491,35 +427,6 @@ def _emit(out_dir: Path, stem: str, payload: dict) -> Path:
     return path
 
 
-def _emit_verify_csv(config: ExperimentConfig, result: dict, out_dir: Path) -> None:
-    path = out_dir / "report.csv"
-    if config.pipeline == "verify-deviation":
-        rows = [
-            [
-                repr(float(result["epsilons"][i])),
-                repr(float(result["frequencies"][i])),
-                repr(float(result["ci_low"][i])),
-                repr(float(result["ci_high"][i])),
-                repr(float(result["bounds"][i])),
-                "true" if result["passes"][i] else "false",
-            ]
-            for i in range(len(result["epsilons"]))
-        ]
-        _write_csv(path, ["epsilon", "empirical", "ci_low", "ci_high", "bound", "pass"], rows)
-    elif config.pipeline == "verify-lyapunov":
-        rows = [
-            [repr(p["v"]), repr(p["estimate"]), repr(p["stderr"])]
-            for p in result["points"]
-        ]
-        _write_csv(path, ["lyapunov", "estimate", "stderr"], rows)
-    else:
-        rows = [
-            [step, repr(result["distances"][i]), "true" if result["used"][i] else "false"]
-            for i, step in enumerate(result["steps"])
-        ]
-        _write_csv(path, ["step", "distance", "used"], rows)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concentrix",
@@ -562,10 +469,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            result, passed = cmd_verify(config, workers=workers)
-            payload = _envelope(config, result)
-            path = _emit(out_dir, "report", payload)
-            _emit_verify_csv(config, result, out_dir)
+            report, passed = cmd_verify(config, workers=workers)
+            path = _emit(out_dir, "report", _envelope(config, report.to_dict()))
+            report.to_csv(out_dir / "report.csv")
             print(f"report written to {path}")
             print("verification passed" if passed else "verification FAILED")
             return 0 if passed else 1
@@ -579,9 +485,10 @@ def main(argv=None) -> int:
     except (NoSignalError, PrecisionError) as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # covers ConfigError plus every domain rejection (bad spec,
-        # non-contractive system, inadmissible exponent)
+        # non-contractive system, inadmissible exponent, a certificate
+        # whose constants overflow a float)
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
         return 2
 

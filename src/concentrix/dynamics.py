@@ -300,12 +300,19 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write states as CSV with columns step, x_1..x_n."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + [f"x_{i + 1}" for i in range(self.dim)])
-            for k, row in enumerate(self.states):
-                writer.writerow([k] + [repr(float(v)) for v in row])
+        _write_csv(
+            path,
+            ["step"] + [f"x_{i + 1}" for i in range(self.dim)],
+            ([k] + [repr(float(v)) for v in row] for k, row in enumerate(self.states)),
+        )
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write one header row and then ``rows``; every report CSV goes through here."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _check_vector(x, dim: int, name: str = "x") -> np.ndarray:

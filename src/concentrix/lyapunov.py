@@ -22,6 +22,7 @@ from .dynamics import (
     HypothesisError,
     SystemSpec,
     _apply_matrices,
+    _write_csv,
     check_slds_hypothesis,
     derive_seed,
 )
@@ -348,6 +349,14 @@ class DriftCheckReport:
                 else None
             ),
         }
+
+    def to_csv(self, path) -> None:
+        """Per-point rows: lyapunov, estimate, stderr."""
+        _write_csv(
+            path,
+            ["lyapunov", "estimate", "stderr"],
+            ([repr(p.v), repr(p.estimate), repr(p.stderr)] for p in self.points),
+        )
 
 
 def empirical_drift_check(

@@ -13,15 +13,16 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata
-from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import beta as beta_dist
 
 from .dynamics import (
     SystemSpec,
+    _write_csv,
     derive_seed,
     simulate_batch,
     system_digest,
@@ -30,8 +31,8 @@ from .lyapunov import HarrisMetricSpec
 from .transport import (
     ConcentrationCertificate,
     NotContractiveError,
+    _psd_sqrt,
     bias_term,
-    iid_deviation_bound,
     lds_certificate,
     trajectory_deviation_bound,
 )
@@ -229,7 +230,8 @@ def burn_in_sampler(
 
     def run(lo, hi):
         seeds = [derive_seed(seed, i) for i in range(lo, hi)]
-        return simulate_batch(spec, start, burn_in, seeds)[:, -1, :]
+        # copy, so the block's whole states array is freed before the concatenate
+        return simulate_batch(spec, start, burn_in, seeds)[:, -1, :].copy()
 
     parts = _map_blocks(count, workers, run)
     return SampleBatch(
@@ -289,55 +291,120 @@ class DeviationReport:
 
     def to_csv(self, path) -> None:
         """Per-epsilon rows: epsilon, empirical, ci_low, ci_high, bound, pass."""
-        import csv
-
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "empirical", "ci_low", "ci_high", "bound", "pass"])
-            for i, eps in enumerate(self.epsilons):
-                writer.writerow(
-                    [
-                        repr(float(eps)),
-                        repr(float(self.frequencies[i])),
-                        repr(float(self.ci_low[i])),
-                        repr(float(self.ci_high[i])),
-                        repr(float(self.bounds[i])),
-                        "true" if self.passes[i] else "false",
-                    ]
-                )
+        columns = (self.epsilons, self.frequencies, self.ci_low, self.ci_high, self.bounds)
+        _write_csv(
+            path,
+            ["epsilon", "empirical", "ci_low", "ci_high", "bound", "pass"],
+            (
+                [repr(float(v)) for v in values] + ["true" if passed else "false"]
+                for *values, passed in zip(*columns, self.passes)
+            ),
+        )
 
 
-def _check_epsilons(epsilons) -> tuple:
+def _mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof=1)."""
+    vals = np.asarray(values, dtype=float)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _check_experiment(
+    n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+) -> tuple:
+    """Checks shared by both deviation experiments, run before any simulation."""
     grid = tuple(float(e) for e in epsilons)
     if not grid:
         raise ValueError("epsilon grid must be nonempty")
     if any(e <= 0 for e in grid):
         raise ValueError("epsilons must be positive")
+    if replications < 100:
+        raise ValueError("need at least 100 replications")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if target_mean is None:
+        if target_samples < 2:
+            raise ValueError(
+                "a Monte Carlo target needs target_samples >= 2 for its standard error"
+            )
+    elif not target_provenance:
+        raise ValueError("a supplied target mean must state its provenance")
     return grid
 
 
-def _tail_rows(deviations: np.ndarray, epsilons, bias: float, bound_at):
-    """Count threshold exceedances and pair them with bounds and intervals."""
-    m = deviations.size
-    counts, freqs, lows, highs, bounds, passes = [], [], [], [], [], []
-    for eps in epsilons:
-        k = int(np.sum(deviations > bias + eps))
-        low, high = clopper_pearson(k, m)
-        bound = bound_at(eps)
-        counts.append(k)
-        freqs.append(k / m)
-        lows.append(low)
-        highs.append(high)
-        bounds.append(bound)
-        passes.append(high <= bound or k == 0)
-    return tuple(counts), tuple(freqs), tuple(lows), tuple(highs), tuple(bounds), tuple(passes)
+def _deviation_report(
+    spec: SystemSpec,
+    reward,
+    average,
+    cert: ConcentrationCertificate,
+    epsilons: tuple,
+    replications: int,
+    seed: int,
+    workers: int,
+    target_mean,
+    target_provenance,
+    target_samples: int,
+    target_burn_in: int,
+    target_details: dict,
+    details: dict,
+) -> DeviationReport:
+    """Run the replications of a deviation experiment and tabulate its tails.
 
+    ``reward`` is a resolved (fn, lipschitz, tag) triple and ``average`` maps
+    a list of replication seeds to one average each.  An unsupplied target is
+    the mean reward of ``target_samples`` endpoints after ``target_burn_in``
+    steps, recorded with ``target_details``.  Each epsilon counts deviations
+    beyond ``cert.bias + epsilon``, bounded by the tail bound of ``cert``.
+    """
+    reward_fn, lipschitz, tag = reward
+    details = {
+        **details,
+        "system_digest": system_digest(spec),
+        "master_seed": int(seed),
+        "code_version": _code_version(),
+        "reward": tag,
+        "lipschitz": lipschitz,
+    }
+    if target_mean is None:
+        batch = burn_in_sampler(
+            spec, target_samples, target_burn_in, _substream(seed, _STREAM_TARGET),
+            workers=workers,
+        )
+        target_mean, target_stderr = _mean_stderr(reward_fn(batch.points))
+        target_provenance = "monte_carlo_burn_in"
+        details.update(target_stderr=target_stderr, **target_details)
+    else:
+        target_mean = float(target_mean)
 
-def _stationary_reward_estimate(spec, reward_fn, seed, samples, burn_in, workers):
-    batch = burn_in_sampler(spec, samples, burn_in, seed, workers=workers)
-    vals = np.asarray(reward_fn(batch.points), dtype=float)
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return float(vals.mean()), stderr
+    rep_stream = _substream(seed, _STREAM_REPLICATION)
+    averages = np.concatenate(
+        _map_blocks(
+            replications,
+            workers,
+            lambda lo, hi: average([derive_seed(rep_stream, i) for i in range(lo, hi)]),
+        )
+    )
+    deviations = np.abs(averages - target_mean)
+    counts = tuple(int(np.sum(deviations > cert.bias + eps)) for eps in epsilons)
+    intervals = [clopper_pearson(k, replications) for k in counts]
+    bounds = tuple(trajectory_deviation_bound(cert, eps) for eps in epsilons)
+    return DeviationReport(
+        epsilons=epsilons,
+        counts=counts,
+        frequencies=tuple(k / replications for k in counts),
+        ci_low=tuple(low for low, _ in intervals),
+        ci_high=tuple(high for _, high in intervals),
+        bounds=bounds,
+        passes=tuple(
+            high <= bound or k == 0
+            for k, (_, high), bound in zip(counts, intervals, bounds)
+        ),
+        replications=replications,
+        n_samples=cert.n_samples,
+        target_mean=target_mean,
+        target_provenance=target_provenance,
+        bias=cert.bias,
+        details=details,
+    )
 
 
 def deviation_probability_experiment(
@@ -367,32 +434,18 @@ def deviation_probability_experiment(
     independent burn-in batch when not supplied (supplied targets must
     state their provenance).
     """
-    epsilons = _check_epsilons(epsilons)
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    epsilons = _check_experiment(
+        n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+    )
     if spec.kind != "lds":
         raise ValueError(
             "trajectory deviation bounds need a per-step transport certificate; "
             "only linear systems are supported here"
         )
-    reward_fn, lipschitz, tag = _resolve_reward(reward)
+    reward = _resolve_reward(reward)
+    reward_fn, lipschitz, _ = reward
     t1, contraction = lds_certificate(spec)
     rate = contraction.rate
-
-    if target_mean is None:
-        target_mean, target_se = _stationary_reward_estimate(
-            spec, reward_fn, _substream(seed, _STREAM_TARGET),
-            target_samples, bias_burn_in, workers,
-        )
-        target_provenance = "monte_carlo_burn_in"
-        target_detail = {"target_stderr": target_se, "target_samples": target_samples}
-    else:
-        if not target_provenance:
-            raise ValueError("a supplied target mean must state its provenance")
-        target_mean = float(target_mean)
-        target_detail = {}
 
     x0v = np.asarray(x0, dtype=float).reshape(-1)
     one_step = simulate_batch(
@@ -404,58 +457,32 @@ def deviation_probability_experiment(
         workers=workers,
     )
     w1_start = empirical_w1(one_step, reference).value
-    bias = bias_term(w1_start, n_samples, rate)
 
-    rep_stream = _substream(seed, _STREAM_REPLICATION)
-
-    def run(lo, hi):
-        seeds = [derive_seed(rep_stream, i) for i in range(lo, hi)]
+    def average(seeds):
         states = simulate_batch(spec, x0v, n_samples, seeds)
         return np.asarray(reward_fn(states[:, 1:, :]), dtype=float).mean(axis=1)
-
-    averages = np.concatenate(_map_blocks(replications, workers, run))
-    deviations = np.abs(averages - target_mean)
 
     cert = ConcentrationCertificate(
         constant=t1.constant,
         rate=rate,
         n_samples=n_samples,
         lipschitz=lipschitz,
-        bias=bias,
+        bias=bias_term(w1_start, n_samples, rate),
     )
-    rows = _tail_rows(
-        deviations, epsilons, bias, lambda eps: trajectory_deviation_bound(cert, eps)
-    )
-    counts, freqs, lows, highs, bounds, passes = rows
-    details = {
-        "bound_kind": "trajectory_subgaussian",
-        "system_digest": system_digest(spec),
-        "master_seed": int(seed),
-        "code_version": _code_version(),
-        "reward": tag,
-        "lipschitz": lipschitz,
-        "constant": t1.constant,
-        "rate": rate,
-        "x0": [float(v) for v in x0v],
-        "bias_w1": w1_start,
-        "bias_samples": bias_samples,
-        "bias_burn_in": bias_burn_in,
-        **target_detail,
-    }
-    return DeviationReport(
-        epsilons=epsilons,
-        counts=counts,
-        frequencies=freqs,
-        ci_low=lows,
-        ci_high=highs,
-        bounds=bounds,
-        passes=passes,
-        replications=replications,
-        n_samples=n_samples,
-        target_mean=target_mean,
-        target_provenance=target_provenance,
-        bias=bias,
-        details=details,
+    return _deviation_report(
+        spec, reward, average, cert, epsilons, replications, seed, workers,
+        target_mean, target_provenance, target_samples,
+        target_burn_in=bias_burn_in,
+        target_details={"target_samples": target_samples},
+        details={
+            "bound_kind": "trajectory_subgaussian",
+            "constant": t1.constant,
+            "rate": rate,
+            "x0": [float(v) for v in x0v],
+            "bias_w1": w1_start,
+            "bias_samples": bias_samples,
+            "bias_burn_in": bias_burn_in,
+        },
     )
 
 
@@ -483,27 +510,13 @@ def iid_deviation_experiment(
     diagnostic: the empirical W1 between endpoint batches at ``burn_in``
     and at four times that horizon.
     """
-    epsilons = _check_epsilons(epsilons)
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    epsilons = _check_experiment(
+        n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+    )
     if te_const <= 0:
         raise ValueError("transport-entropy constant must be positive")
-    reward_fn, lipschitz, tag = _resolve_reward(reward)
-
-    if target_mean is None:
-        target_mean, target_se = _stationary_reward_estimate(
-            spec, reward_fn, _substream(seed, _STREAM_TARGET),
-            target_samples, 2 * burn_in, workers,
-        )
-        target_provenance = "monte_carlo_burn_in"
-        target_detail = {"target_stderr": target_se, "target_burn_in": 2 * burn_in}
-    else:
-        if not target_provenance:
-            raise ValueError("a supplied target mean must state its provenance")
-        target_mean = float(target_mean)
-        target_detail = {}
+    reward = _resolve_reward(reward)
+    reward_fn, lipschitz, _ = reward
 
     diag_stream = _substream(seed, _STREAM_DIAGNOSTIC)
     short = burn_in_sampler(
@@ -514,55 +527,33 @@ def iid_deviation_experiment(
     )
     diagnostic_w1 = empirical_w1(short, long).value
 
-    rep_stream = _substream(seed, _STREAM_REPLICATION)
-
-    def run(lo, hi):
-        out = np.empty(hi - lo)
-        for j, i in enumerate(range(lo, hi)):
-            rep_seed = derive_seed(rep_stream, i)
+    def average(rep_seeds):
+        out = np.empty(len(rep_seeds))
+        for j, rep_seed in enumerate(rep_seeds):
             seeds = [derive_seed(rep_seed, k) for k in range(n_samples)]
             endpoints = simulate_batch(spec, np.zeros(spec.dim), burn_in, seeds)[:, -1, :]
             out[j] = np.asarray(reward_fn(endpoints), dtype=float).mean()
         return out
 
-    averages = np.concatenate(_map_blocks(replications, workers, run))
-    deviations = np.abs(averages - target_mean)
-
-    rows = _tail_rows(
-        deviations, epsilons, 0.0,
-        lambda eps: iid_deviation_bound(te_const, lipschitz, n_samples, eps),
+    # independent stationary samples are the rate-zero case of the path bound
+    cert = ConcentrationCertificate(
+        constant=te_const, rate=0.0, n_samples=n_samples, lipschitz=lipschitz
     )
-    counts, freqs, lows, highs, bounds, passes = rows
-    details = {
-        "bound_kind": "iid_subgaussian",
-        "system_digest": system_digest(spec),
-        "master_seed": int(seed),
-        "code_version": _code_version(),
-        "reward": tag,
-        "lipschitz": lipschitz,
-        "te_constant": te_const,
-        "burn_in": burn_in,
-        "burn_in_diagnostic_w1": diagnostic_w1,
-        "burn_in_diagnostic_note": (
-            "bound assumes exactly stationary samples; endpoints after burn-in "
-            "are approximate, see the diagnostic distance"
-        ),
-        **target_detail,
-    }
-    return DeviationReport(
-        epsilons=epsilons,
-        counts=counts,
-        frequencies=freqs,
-        ci_low=lows,
-        ci_high=highs,
-        bounds=bounds,
-        passes=passes,
-        replications=replications,
-        n_samples=n_samples,
-        target_mean=target_mean,
-        target_provenance=target_provenance,
-        bias=0.0,
-        details=details,
+    return _deviation_report(
+        spec, reward, average, cert, epsilons, replications, seed, workers,
+        target_mean, target_provenance, target_samples,
+        target_burn_in=2 * burn_in,
+        target_details={"target_burn_in": 2 * burn_in},
+        details={
+            "bound_kind": "iid_subgaussian",
+            "te_constant": te_const,
+            "burn_in": burn_in,
+            "burn_in_diagnostic_w1": diagnostic_w1,
+            "burn_in_diagnostic_note": (
+                "bound assumes exactly stationary samples; endpoints after burn-in "
+                "are approximate, see the diagnostic distance"
+            ),
+        },
     )
 
 
@@ -585,6 +576,17 @@ class ContractionFit:
             "used": list(self.used),
             "noise_floor": self.noise_floor,
         }
+
+    def to_csv(self, path) -> None:
+        """Per-step rows: step, distance, used."""
+        _write_csv(
+            path,
+            ["step", "distance", "used"],
+            (
+                [step, repr(d), "true" if used else "false"]
+                for step, d, used in zip(self.steps, self.distances, self.used)
+            ),
+        )
 
 
 def contraction_rate_fit(
@@ -721,9 +723,9 @@ def empirical_autocovariance(
 def lds_stationary_covariance(a) -> np.ndarray:
     """Stationary covariance of a contractive linear system.
 
-    Fixed-point iteration ``S <- A S A^T + I`` from the identity until the
-    Frobenius update drops below 1e-12; the result satisfies the balance
-    equation to better than 1e-10.
+    Solves the discrete Lyapunov equation ``S = A S A^T + I`` directly with
+    :func:`scipy.linalg.solve_discrete_lyapunov`; the result satisfies the
+    balance equation to better than 1e-10.
     """
     if isinstance(a, SystemSpec):
         if a.kind != "lds":
@@ -734,15 +736,7 @@ def lds_stationary_covariance(a) -> np.ndarray:
 
     if spectral_norm(a) >= 1.0:
         raise NotContractiveError("matrix 2-norm must be strictly below 1")
-    n = a.shape[0]
-    eye = np.eye(n)
-    sigma = eye.copy()
-    for _ in range(1_000_000):
-        nxt = a @ sigma @ a.T + eye
-        if float(np.linalg.norm(nxt - sigma)) < 1e-12:
-            return nxt
-        sigma = nxt
-    raise RuntimeError("fixed-point iteration failed to converge")  # pragma: no cover
+    return solve_discrete_lyapunov(a, np.eye(a.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -762,11 +756,6 @@ class MeanEstimate:
             "method": self.method,
             "samples": self.samples,
         }
-
-
-def _psd_root(sigma: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def stationary_mean_reward(
@@ -792,37 +781,26 @@ def stationary_mean_reward(
     """
     reward_fn, _, tag = _resolve_reward(reward)
     if isinstance(target, SampleBatch):
-        vals = np.asarray(reward_fn(target.points), dtype=float)
-        half = 2.5758293035489004 * float(vals.std(ddof=1) / math.sqrt(vals.size))
-        return MeanEstimate(
-            value=float(vals.mean()),
-            ci_halfwidth=half,
-            method="burn_in_monte_carlo",
-            samples=int(vals.size),
-        )
-    if isinstance(target, SystemSpec):
-        sigma = lds_stationary_covariance(target)
+        vals, method = reward_fn(target.points), "burn_in_monte_carlo"
     else:
-        sigma = np.atleast_2d(np.asarray(target, dtype=float))
-    n = sigma.shape[0]
-    if tag == "norm" and n == 1:
-        value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
-        return MeanEstimate(value=value, ci_halfwidth=0.0, method="half_normal_closed_form")
-    if tag == "coordinate":
-        return MeanEstimate(value=0.0, ci_halfwidth=0.0, method="symmetry_closed_form")
-    root = _psd_root(sigma)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    draws = gen.standard_normal((sample_budget, n)) @ root.T
-    vals = np.asarray(reward_fn(draws), dtype=float)
-    half = 2.5758293035489004 * float(vals.std(ddof=1) / math.sqrt(vals.size))
-    if half > precision:
+        if isinstance(target, SystemSpec):
+            sigma = lds_stationary_covariance(target)
+        else:
+            sigma = np.atleast_2d(np.asarray(target, dtype=float))
+        n = sigma.shape[0]
+        if tag == "norm" and n == 1:
+            value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
+            return MeanEstimate(value=value, ci_halfwidth=0.0, method="half_normal_closed_form")
+        if tag == "coordinate":
+            return MeanEstimate(value=0.0, ci_halfwidth=0.0, method="symmetry_closed_form")
+        gen = np.random.Generator(np.random.PCG64(seed))
+        vals = reward_fn(gen.standard_normal((sample_budget, n)) @ _psd_sqrt(sigma))
+        method = "gaussian_monte_carlo"
+    value, stderr = _mean_stderr(vals)
+    half = 2.5758293035489004 * stderr
+    if method == "gaussian_monte_carlo" and half > precision:
         raise PrecisionError(
             f"99% half-width {half:.3g} exceeds requested precision {precision:g} "
             f"within the {sample_budget}-sample budget"
         )
-    return MeanEstimate(
-        value=float(vals.mean()),
-        ci_halfwidth=half,
-        method="gaussian_monte_carlo",
-        samples=sample_budget,
-    )
+    return MeanEstimate(value=value, ci_halfwidth=half, method=method, samples=len(vals))

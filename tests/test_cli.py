@@ -7,21 +7,29 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from referencing import Registry, Resource
 
 from concentrix.cli import (
     ConfigError,
     ExperimentConfig,
+    canonical_json,
     cmd_certify,
     cmd_sweep,
     load_config,
     main,
 )
+from concentrix.transport import (
+    ConcentrationCertificate,
+    tensorized_constant,
+    trajectory_deviation_bound,
+)
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 LDS_HALF = {"type": "lds", "A": [[0.5]]}
+LDS_2D = {"type": "lds", "A": [[0.5, 0.2], [0.0, 0.6]]}
 SLDS_CHAIN = {
     "type": "slds",
     "regions": [
@@ -155,6 +163,18 @@ def test_certify_non_contractive_exits_2(tmp_path, capsys):
     assert error["type"] == "NotContractiveError"
 
 
+def test_certify_exponent_overflow_exits_2(tmp_path, capsys):
+    # exp(lipschitz^2 radius^2 alpha / (1 - 2 alpha)) = exp(5e5) overflows
+    params = {**SLDS_PARAMS, "radius": 100.0, "lipschitz": 10.0}
+    path = write_config(
+        tmp_path, {"pipeline": "certify", "system": SLDS_CHAIN, "seed": 1, "params": params}
+    )
+    out = tmp_path / "out"
+    assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "OverflowError"
+    assert not (out / "certificate.json").exists()
+
+
 def test_certify_missing_seed_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"pipeline": "certify", "system": LDS_HALF})
     code = main(["certify", "--config", path])
@@ -241,6 +261,44 @@ def test_verify_lyapunov_drift(tmp_path):
     assert payload["result"]["certificate_violations"] == []
 
 
+def test_verify_lyapunov_csv_rows(tmp_path):
+    path = write_config(
+        tmp_path,
+        {
+            "pipeline": "verify-lyapunov",
+            "system": SLDS_CHAIN,
+            "seed": 7,
+            "params": {"x_grid": [[0.0], [3.0]], "samples_per_point": 1000},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    points = json.loads((out / "report.json").read_text())["result"]["points"]
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == "lyapunov,estimate,stderr"
+    assert lines[1:] == [
+        f"{p['v']!r},{p['estimate']!r},{p['stderr']!r}" for p in points
+    ]
+
+
+def test_verify_one_sample_target_exits_2(tmp_path, capsys):
+    # a one-sample Monte Carlo target has no standard error; the report
+    # would carry NaN, which is not JSON
+    params = {**SMALL_DEVIATION_PARAMS, "target_samples": 1}
+    path = write_config(
+        tmp_path,
+        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError"
+    assert "target_samples" in error["message"]
+    assert not (out / "report.json").exists()
+    with pytest.raises(ValueError):
+        canonical_json({"value": math.nan})
+
+
 def test_verify_contraction_recovers_rate(tmp_path):
     path = write_config(
         tmp_path,
@@ -297,6 +355,84 @@ def test_sweep_n_samples_bounds_decrease(tmp_path):
     bounds = [row[2] for row in result["rows"]]
     assert bounds == sorted(bounds, reverse=True)
     assert result["rows"][1][1] == pytest.approx(400.0)
+
+
+def _certificate(constant, rate, n_samples, lipschitz):
+    return ConcentrationCertificate(
+        constant=constant, rate=rate, n_samples=n_samples, lipschitz=lipschitz
+    )
+
+
+@pytest.mark.parametrize(
+    "system, params, expected",
+    [
+        (
+            LDS_HALF,
+            {"variable": "n_samples", "grid": [1, 10, 100], "epsilon": 0.5, "lipschitz": 2.0},
+            lambda n: [
+                n,
+                tensorized_constant(1.0, 0.5, n),
+                trajectory_deviation_bound(_certificate(1.0, 0.5, n, 2.0), 0.5),
+            ],
+        ),
+        (
+            LDS_2D,
+            {"variable": "epsilon", "grid": [0.1, 0.5, 2.0], "n_samples": 30, "lipschitz": 0.5},
+            lambda e: [
+                e,
+                trajectory_deviation_bound(
+                    _certificate(1.0, float(np.linalg.norm(LDS_2D["A"], 2)), 30, 0.5), e
+                ),
+            ],
+        ),
+        (
+            None,
+            {
+                "variable": "rate",
+                "grid": [0.0, 0.5, 0.9],
+                "n_samples": 50,
+                "epsilon": 0.3,
+                "constant": 2.0,
+            },
+            lambda r: [
+                r,
+                tensorized_constant(2.0, r, 50),
+                trajectory_deviation_bound(_certificate(2.0, r, 50, 1.0), 0.3),
+            ],
+        ),
+    ],
+    ids=["n_samples", "epsilon", "rate_without_system"],
+)
+def test_sweep_rows_match_closed_forms(tmp_path, system, params, expected):
+    body = {"pipeline": "sweep", "seed": 1, "params": params}
+    if system is not None:
+        body["system"] = system
+    result = cmd_sweep(load_config(write_config(tmp_path, body)))
+    assert result["columns"][0] == params["variable"]
+    assert len(result["rows"]) == len(params["grid"])
+    for row, value in zip(result["rows"], params["grid"]):
+        assert row == pytest.approx(expected(value), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params, missing",
+    [
+        ({"variable": "n_samples", "grid": [10]}, "epsilon"),
+        ({"variable": "epsilon", "grid": [0.1]}, "n_samples"),
+        ({"variable": "rate", "grid": [0.1], "epsilon": 0.3}, "n_samples"),
+        ({"variable": "rate", "grid": [0.1], "n_samples": 10}, "epsilon"),
+    ],
+)
+def test_sweep_missing_param_exits_2(tmp_path, capsys, params, missing):
+    path = write_config(
+        tmp_path, {"pipeline": "sweep", "system": LDS_HALF, "seed": 1, "params": params}
+    )
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "ConfigError",
+        "message": f"pipeline 'sweep' needs params.{missing}",
+    }
 
 
 def test_sweep_alpha_te_curve_finite(tmp_path):

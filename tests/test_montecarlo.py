@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ def test_burn_in_validation():
         burn_in_sampler(spec, 0, 10, seed=1)
     with pytest.raises(ValueError):
         burn_in_sampler(spec, 10, -1, seed=1)
+
+
+def test_burn_in_keeps_only_endpoints_alive():
+    # each block simulates a (256, burn_in + 1, n) states array; keeping a
+    # view of its last step would hold every block's whole array until the
+    # final concatenate (about 16 MB here instead of the 80 kB of endpoints)
+    spec = SystemSpec.lds([[0.5]])
+    tracemalloc.start()
+    try:
+        burn_in_sampler(spec, 10_000, 200, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ------------------------------------------------- deviation experiment (path)
