@@ -16,10 +16,12 @@ from .dynamics import (
     Trajectory,
     check_slds_hypothesis,
     derive_seed,
+    derive_seeds,
     load_system,
     save_system,
     simulate,
     simulate_batch,
+    simulate_endpoints,
     spectral_norm,
     system_digest,
 )
@@ -77,10 +79,12 @@ __all__ = [
     "Trajectory",
     "check_slds_hypothesis",
     "derive_seed",
+    "derive_seeds",
     "load_system",
     "save_system",
     "simulate",
     "simulate_batch",
+    "simulate_endpoints",
     "spectral_norm",
     "system_digest",
     # transport

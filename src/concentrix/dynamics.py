@@ -3,7 +3,11 @@
 Two model families are supported: a linear system ``x' = A x + xi`` and a
 switched linear system ``x' = A_j x + xi`` where ``j`` is the index of the
 first region predicate that matches ``x``.  The noise ``xi`` is always
-N(0, I_n); simulation is bit-reproducible from a 64-bit seed.
+N(0, I_n); simulation is bit-reproducible from a seed in [0, 2**64).  A
+trajectory's noise is exactly what ``Generator(PCG64(seed))`` draws, but
+the generator states of a whole batch are computed at once in numpy and
+loaded into one reused generator, because building one PCG64 per seed costs
+more than its draws.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ __all__ = [
     "RegionCheck",
     "HypothesisReport",
     "derive_seed",
+    "derive_seeds",
     "step",
     "simulate",
     "simulate_batch",
+    "simulate_endpoints",
     "region_index",
     "spectral_norm",
     "check_slds_hypothesis",
@@ -48,12 +54,39 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _CONTAINMENT_SEED = 0x636F6E7461696E  # fixed stream for containment sampling
 
 
-def _mix64(z: int) -> int:
-    # splitmix64 finalizer
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer; uint64 array arithmetic wraps mod 2**64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_seeds(master_seed, start: int, stop: int) -> np.ndarray:
+    """``derive_seed(master_seed, i)`` for every ``i`` in ``range(start, stop)``.
+
+    Parameters
+    ----------
+    master_seed : int or ndarray
+        One master seed (an int, reduced mod 2**64), or a 1-D uint64 array
+        of master seeds.
+    start, stop : int
+        Index range; ``start`` must be nonnegative.
+
+    Returns
+    -------
+    ndarray of uint64
+        Shape ``(stop - start,)`` for one master, ``(len(master_seed),
+        stop - start)`` for an array of masters.
+    """
+    if start < 0:
+        raise ValueError("index must be nonnegative")
+    if isinstance(master_seed, np.ndarray):
+        masters = master_seed.astype(np.uint64, copy=False)[:, None]
+    else:
+        masters = np.uint64(int(master_seed) & _MASK64)
+    indices = np.arange(max(stop - start, 0), dtype=np.uint64)
+    steps = (indices + np.uint64((start + 1) & _MASK64)) * np.uint64(_GOLDEN)
+    return _mix64(_mix64(masters + steps))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -63,7 +96,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     ``master + (index + 1) * golden_ratio_increment`` (mod 2**64).  Nearby
     (seed, index) pairs map to statistically unrelated outputs, so parallel
     and serial executions can hand out per-task seeds without coordination
-    and agree bit-exactly.
+    and agree bit-exactly.  :func:`derive_seeds` computes a whole index
+    range at once.
 
     Parameters
     ----------
@@ -79,8 +113,84 @@ def derive_seed(master_seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
-    z = (int(master_seed) + (int(index) + 1) * _GOLDEN) & _MASK64
-    return _mix64(_mix64(z))
+    return int(derive_seeds(master_seed, int(index), int(index) + 1)[0])
+
+
+# numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
+# multiplier; _pcg64_states reproduces PCG64(seed) from them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = (1 << 32) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """Seeds as a 1-D uint64 array; each must lie in [0, 2**64)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds.reshape(-1)
+    values = [int(s) for s in seeds]
+    if any(not 0 <= s <= _MASK64 for s in values):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    return np.array(values, dtype=np.uint64)
+
+
+def _pcg64_states(seeds: np.ndarray):
+    """Yield (state, inc) of ``np.random.PCG64(seed)`` for each uint64 seed.
+
+    A seed below 2**64 enters ``SeedSequence`` as the two 32-bit words
+    ``[lo, hi]``: shorter entropy is padded with ``hashmix(0)``, which is
+    what a zero word gives.  The pool mixing and ``generate_state(4,
+    uint64)`` run here on whole uint32 arrays; PCG64 then seeds with
+    ``pcg_setseq_128_srandom_r``.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # little-endian pairs of 32-bit words: seed[0], seed[1], inc[0], inc[1]
+    halves = [
+        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
+    ]
+    for s0, s1, i0, i1 in zip(*halves):
+        inc = ((((i0 << 64) | i1) << 1) | 1) & _MASK128
+        yield ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
+    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws."""
+    noise = np.empty((len(seeds), n_steps, dim))
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg_state, inc) in zip(noise, _pcg64_states(seeds)):
+        pcg["state"], pcg["inc"] = pcg_state, inc
+        gen.bit_generator.state = state
+        gen.standard_normal(out=row)
+    return noise
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -348,9 +458,10 @@ def _apply_matrices(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
 def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     """Simulate one trajectory per seed, all from the same start.
 
-    Each trajectory draws its noise from its own PCG64 stream keyed by its
-    seed, so the result is independent of batch composition: simulating a
-    seed alone or inside any batch yields the same states.
+    Each trajectory's noise is bit-identical to the draws of
+    ``np.random.Generator(np.random.PCG64(seed))``, so the result is
+    independent of batch composition: simulating a seed alone or inside any
+    batch yields the same states.  Every seed must lie in [0, 2**64).
 
     Returns
     -------
@@ -359,19 +470,51 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     x0v = _check_vector(x0, spec.dim, "x0")
-    seeds = [int(s) for s in seeds]
-    m, n = len(seeds), spec.dim
-    noise = np.empty((m, n_steps, n))
-    for i, s in enumerate(seeds):
-        gen = np.random.Generator(np.random.PCG64(s))
-        noise[i] = gen.standard_normal((n_steps, n))
-    states = np.empty((m, n_steps + 1, n))
-    cur = np.tile(x0v, (m, 1))
+    seeds = _seed_array(seeds)
+    noise = _standard_normals(seeds, n_steps, spec.dim)
+    states = np.empty((len(seeds), n_steps + 1, spec.dim))
+    cur = np.tile(x0v, (len(seeds), 1))
     states[:, 0] = cur
     for k in range(n_steps):
         cur = _apply_matrices(spec, cur) + noise[:, k]
         states[:, k + 1] = cur
     return states
+
+
+# noise drawn at once by simulate_endpoints: big enough that the per-step
+# numpy calls are amortised over many trajectories, small enough that peak
+# memory does not grow with the number of trajectories
+_NOISE_BUDGET_BYTES = 2**20
+
+
+def _endpoint_chunk(n_steps: int, dim: int) -> int:
+    """Trajectories whose noise fits the budget (at least one)."""
+    return max(1, _NOISE_BUDGET_BYTES // max(1, n_steps * dim * 8))
+
+
+def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
+    """Final states of :func:`simulate_batch`, bit for bit, without the paths.
+
+    Trajectories run in chunks whose noise fits a fixed byte budget, so
+    memory stays bounded however many seeds are given.
+
+    Returns
+    -------
+    ndarray of shape (len(seeds), dim).
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    x0v = _check_vector(x0, spec.dim, "x0")
+    seeds = _seed_array(seeds)
+    out = np.empty((len(seeds), spec.dim))
+    chunk = _endpoint_chunk(n_steps, spec.dim)
+    for lo in range(0, len(seeds), chunk):
+        noise = _standard_normals(seeds[lo : lo + chunk], n_steps, spec.dim)
+        cur = np.tile(x0v, (noise.shape[0], 1))
+        for k in range(n_steps):
+            cur = _apply_matrices(spec, cur) + noise[:, k]
+        out[lo : lo + chunk] = cur
+    return out
 
 
 def simulate(spec: SystemSpec, x0, n_steps: int, seed: int) -> Trajectory:

@@ -22,9 +22,12 @@ from scipy.stats import beta as beta_dist
 
 from .dynamics import (
     SystemSpec,
+    _endpoint_chunk,
     _write_csv,
     derive_seed,
+    derive_seeds,
     simulate_batch,
+    simulate_endpoints,
     system_digest,
 )
 from .lyapunov import HarrisMetricSpec
@@ -87,9 +90,9 @@ def _substream(seed: int, label: int) -> int:
     return derive_seed(seed, label)
 
 
-def _map_blocks(n_tasks: int, workers: int, fn):
+def _map_blocks(n_tasks: int, workers: int, fn, block: int = _BLOCK):
     """Apply fn(start, stop) over fixed-size index blocks, in block order."""
-    blocks = [(s, min(s + _BLOCK, n_tasks)) for s in range(0, n_tasks, _BLOCK)]
+    blocks = [(s, min(s + block, n_tasks)) for s in range(0, n_tasks, block)]
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda b: fn(*b), blocks))
@@ -220,20 +223,22 @@ def burn_in_sampler(
     """Final states of ``count`` independent trajectories of length ``burn_in``.
 
     Each trajectory gets its own derived seed, so the batch is identical
-    however the work is scheduled.  ``x0`` defaults to the origin.
+    however the work is scheduled.  ``x0`` defaults to the origin.  Only
+    endpoints are kept: work is cut into chunks whose noise fits the fixed
+    budget of :func:`~concentrix.dynamics.simulate_endpoints`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     start = np.zeros(spec.dim) if x0 is None else x0
-
-    def run(lo, hi):
-        seeds = [derive_seed(seed, i) for i in range(lo, hi)]
-        # copy, so the block's whole states array is freed before the concatenate
-        return simulate_batch(spec, start, burn_in, seeds)[:, -1, :].copy()
-
-    parts = _map_blocks(count, workers, run)
+    seeds = derive_seeds(seed, 0, count)
+    parts = _map_blocks(
+        count,
+        workers,
+        lambda lo, hi: simulate_endpoints(spec, start, burn_in, seeds[lo:hi]),
+        block=_endpoint_chunk(burn_in, spec.dim),
+    )
     return SampleBatch(
         points=np.concatenate(parts, axis=0),
         provenance="burn_in_endpoints",
@@ -350,10 +355,11 @@ def _deviation_report(
     """Run the replications of a deviation experiment and tabulate its tails.
 
     ``reward`` is a resolved (fn, lipschitz, tag) triple and ``average`` maps
-    a list of replication seeds to one average each.  An unsupplied target is
-    the mean reward of ``target_samples`` endpoints after ``target_burn_in``
-    steps, recorded with ``target_details``.  Each epsilon counts deviations
-    beyond ``cert.bias + epsilon``, bounded by the tail bound of ``cert``.
+    a uint64 array of replication seeds to one average each.  An unsupplied
+    target is the mean reward of ``target_samples`` endpoints after
+    ``target_burn_in`` steps, recorded with ``target_details``.  Each epsilon
+    counts deviations beyond ``cert.bias + epsilon``, bounded by the tail
+    bound of ``cert``.
     """
     reward_fn, lipschitz, tag = reward
     details = {
@@ -380,7 +386,7 @@ def _deviation_report(
         _map_blocks(
             replications,
             workers,
-            lambda lo, hi: average([derive_seed(rep_stream, i) for i in range(lo, hi)]),
+            lambda lo, hi: average(derive_seeds(rep_stream, lo, hi)),
         )
     )
     deviations = np.abs(averages - target_mean)
@@ -437,6 +443,9 @@ def deviation_probability_experiment(
     epsilons = _check_experiment(
         n_samples, epsilons, replications, target_mean, target_provenance, target_samples
     )
+    if bias_burn_in < 1:
+        # the reference batch (and a Monte Carlo target) would be the start point
+        raise ValueError("bias_burn_in must be at least 1")
     if spec.kind != "lds":
         raise ValueError(
             "trajectory deviation bounds need a per-step transport certificate; "
@@ -448,10 +457,9 @@ def deviation_probability_experiment(
     rate = contraction.rate
 
     x0v = np.asarray(x0, dtype=float).reshape(-1)
-    one_step = simulate_batch(
-        spec, x0v, 1,
-        [derive_seed(_substream(seed, _STREAM_BIAS), i) for i in range(bias_samples)],
-    )[:, -1, :]
+    one_step = simulate_endpoints(
+        spec, x0v, 1, derive_seeds(_substream(seed, _STREAM_BIAS), 0, bias_samples)
+    )
     reference = burn_in_sampler(
         spec, bias_samples, bias_burn_in, _substream(seed, _STREAM_REFERENCE),
         workers=workers,
@@ -513,6 +521,9 @@ def iid_deviation_experiment(
     epsilons = _check_experiment(
         n_samples, epsilons, replications, target_mean, target_provenance, target_samples
     )
+    if burn_in < 1:
+        # every endpoint would be the start point, so every deviation is zero
+        raise ValueError("burn_in must be at least 1")
     if te_const <= 0:
         raise ValueError("transport-entropy constant must be positive")
     reward = _resolve_reward(reward)
@@ -527,13 +538,20 @@ def iid_deviation_experiment(
     )
     diagnostic_w1 = empirical_w1(short, long).value
 
+    # whole replications per endpoint run, as many as fill one noise chunk,
+    # so memory is bounded by the chunk or by one replication's endpoints
+    group = max(1, _endpoint_chunk(burn_in, spec.dim) // n_samples)
+
     def average(rep_seeds):
-        out = np.empty(len(rep_seeds))
-        for j, rep_seed in enumerate(rep_seeds):
-            seeds = [derive_seed(rep_seed, k) for k in range(n_samples)]
-            endpoints = simulate_batch(spec, np.zeros(spec.dim), burn_in, seeds)[:, -1, :]
-            out[j] = np.asarray(reward_fn(endpoints), dtype=float).mean()
-        return out
+        out = []
+        for lo in range(0, len(rep_seeds), group):
+            reps = rep_seeds[lo : lo + group]
+            seeds = derive_seeds(reps, 0, n_samples).reshape(-1)
+            endpoints = simulate_endpoints(spec, np.zeros(spec.dim), burn_in, seeds)
+            rewards = np.asarray(reward_fn(endpoints), dtype=float)
+            # one contiguous row per replication, averaged as a whole
+            out.append(rewards.reshape(len(reps), n_samples).mean(axis=1))
+        return np.concatenate(out)
 
     # independent stationary samples are the rate-zero case of the path bound
     cert = ConcentrationCertificate(
@@ -623,7 +641,7 @@ def contraction_rate_fit(
     ref_a, ref_b = ref[:per_step], ref[per_step : 2 * per_step]
     noise_floor = empirical_w1(ref_a, ref_b, metric).value
 
-    seeds = [derive_seed(_substream(seed, _STREAM_REPLICATION), i) for i in range(per_step)]
+    seeds = derive_seeds(_substream(seed, _STREAM_REPLICATION), 0, per_step)
     states = simulate_batch(spec, x0, n_max, seeds)
     distances = np.array(
         [empirical_w1(states[:, n, :], ref_a, metric).value for n in range(1, n_max + 1)]

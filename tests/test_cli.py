@@ -299,6 +299,32 @@ def test_verify_one_sample_target_exits_2(tmp_path, capsys):
         canonical_json({"value": math.nan})
 
 
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ({**SMALL_DEVIATION_PARAMS, "bias_burn_in": 0}, "bias_burn_in"),
+        (
+            {
+                "mode": "iid", "reward": "norm", "n_samples": 5, "replications": 100,
+                "burn_in": 0, "epsilons": [0.5], "te_constant": 1e-6,
+            },
+            "burn_in",
+        ),
+    ],
+)
+def test_verify_zero_burn_in_exits_2(tmp_path, capsys, params, name):
+    # with no burn-in every endpoint (and a Monte Carlo target) is the start
+    # point, so every deviation is zero and any bound would "pass"
+    path = write_config(
+        tmp_path,
+        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith(name)
+    assert not (out / "report.json").exists()
+
+
 def test_verify_contraction_recovers_rate(tmp_path):
     path = write_config(
         tmp_path,

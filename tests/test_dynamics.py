@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from concentrix import dynamics
 from concentrix.dynamics import (
     HypothesisError,
     Predicate,
@@ -10,9 +11,11 @@ from concentrix.dynamics import (
     SystemSpec,
     check_slds_hypothesis,
     derive_seed,
+    derive_seeds,
     region_index,
     simulate,
     simulate_batch,
+    simulate_endpoints,
     spectral_norm,
     step,
     system_from_dict,
@@ -300,3 +303,92 @@ def test_derive_seed_deterministic_and_spread():
 def test_derive_seed_rejects_negative_index():
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+def _splitmix64_reference(master_seed, index):
+    """The seed derivation on Python integers, as first written."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    return mix(mix((master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask))
+
+
+EDGE_MASTERS = [0, 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("master", EDGE_MASTERS)
+def test_derive_seeds_match_scalar_derivation(master):
+    expected = [_splitmix64_reference(master, i) for i in range(5, 40)]
+    assert derive_seeds(master, 5, 40).tolist() == expected
+    assert [derive_seed(master, i) for i in range(5, 40)] == expected
+    assert derive_seed(master, 2**70) == _splitmix64_reference(master, 2**70)
+    assert derive_seeds(master, 3, 3).shape == (0,)
+
+
+def test_derive_seeds_over_an_array_of_masters():
+    masters = np.array(EDGE_MASTERS, dtype=np.uint64)
+    table = derive_seeds(masters, 0, 7)
+    assert table.shape == (4, 7)
+    assert table.tolist() == [
+        [_splitmix64_reference(m, i) for i in range(7)] for m in EDGE_MASTERS
+    ]
+
+
+def test_pcg64_states_match_numpy_seeding():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds = edges + derive_seeds(2024, 0, 200).tolist()
+    states = list(dynamics._pcg64_states(np.array(seeds, dtype=np.uint64)))
+    for seed, (state, inc) in zip(seeds, states):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+
+def test_simulate_batch_noise_is_per_seed_pcg64_draws():
+    # with A = 0 and a zero start every state after the first is the noise
+    spec = SystemSpec.lds(np.zeros((2, 2)))
+    seeds = [0, 2**32, 2**64 - 1, 77]
+    batch = simulate_batch(spec, [0.0, 0.0], 30, seeds)
+    for row, seed in zip(batch, seeds):
+        draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((30, 2))
+        assert np.array_equal(row[1:], draws)
+
+
+@pytest.mark.parametrize(
+    "spec, x0",
+    [
+        (SystemSpec.lds([[0.9]]), [1.5]),
+        (
+            SystemSpec.slds(
+                [
+                    (Predicate(ball_le=1.0), np.eye(2)),
+                    (Predicate(halfspaces=(((1.0, 0.0), -2.0),)), 0.3 * np.eye(2)),
+                    (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+                ]
+            ),
+            [-3.0, 0.5],
+        ),
+    ],
+)
+@pytest.mark.parametrize("n_steps", [0, 1, 17])
+def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypatch):
+    # a budget of three trajectories per chunk leaves a partial last chunk
+    budget = 3 * max(1, n_steps * spec.dim * 8)
+    monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", budget)
+    seeds = derive_seeds(5, 0, 10)
+    endpoints = simulate_endpoints(spec, x0, n_steps, seeds)
+    assert endpoints.shape == (10, spec.dim)
+    assert np.array_equal(endpoints, simulate_batch(spec, x0, n_steps, seeds)[:, -1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    spec = SystemSpec.lds([[0.5]])
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        simulate(spec, [0.0], 3, seed)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        simulate_batch(spec, [0.0], 3, [1, seed])
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        simulate_endpoints(spec, [0.0], 3, [seed])

@@ -278,6 +278,10 @@ def test_deviation_validation():
         deviation_probability_experiment(spec, "entropy", [0.0], 10, [0.5], 100, seed=1)
     with pytest.raises(ValueError, match="positive"):
         deviation_probability_experiment(spec, "norm", [0.0], 10, [-0.5], 100, seed=1)
+    with pytest.raises(ValueError, match="bias_burn_in"):
+        deviation_probability_experiment(
+            spec, "norm", [0.0], 10, [0.5], 100, seed=1, bias_burn_in=0
+        )
     with pytest.raises(NotContractiveError):
         deviation_probability_experiment(
             SystemSpec.lds([[1.0]]), "norm", [0.0], 10, [0.5], 100, seed=1
@@ -355,6 +359,26 @@ def test_iid_validation():
         iid_deviation_experiment(spec, "norm", 5, 100, 10, [0.5], te_const=0.0, seed=1)
     with pytest.raises(ValueError, match="replications"):
         iid_deviation_experiment(spec, "norm", 5, 10, 10, [0.5], te_const=4.0, seed=1)
+    with pytest.raises(ValueError, match="burn_in"):
+        iid_deviation_experiment(spec, "norm", 5, 100, 0, [0.5], te_const=4.0, seed=1)
+
+
+def test_iid_experiment_memory_does_not_grow_with_block_size():
+    # one block is 100 replications x 100 samples x 200 steps, 16 MB of
+    # noise; the endpoint path draws it in chunks of a fixed byte budget and
+    # groups only as many replications as fill one chunk
+    spec = SystemSpec.lds([[0.5]])
+    tracemalloc.start()
+    try:
+        iid_deviation_experiment(
+            spec, "norm", n_samples=100, replications=100, burn_in=200,
+            epsilons=[0.1], te_const=4.0, seed=5, target_mean=0.9213,
+            target_provenance="half_normal_closed_form", diagnostic_samples=64,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ------------------------------------------------------------ contraction fit
