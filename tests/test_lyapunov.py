@@ -1,6 +1,7 @@
 """Tests for the drift and exponential-moment certificate pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from concentrix.dynamics import HypothesisError, Predicate, SystemSpec
+from concentrix.dynamics import HypothesisError, Predicate, SystemSpec, _apply_matrices
 from concentrix.lyapunov import (
     DivergentMGFError,
     DriftPair,
@@ -333,6 +334,106 @@ def test_minorization_rejects_high_dimension():
     spec = SystemSpec.lds(np.zeros((3, 3)))
     with pytest.raises(UnsupportedDimensionError):
         minorization_beta(spec, 1.0, (-4.0, 4.0), resolution=20)
+
+
+@pytest.mark.parametrize(
+    "radius, truncation, resolution, match",
+    [
+        (1.0, (-math.inf, 6.0), 40, "finite"),
+        (math.inf, (-6.0, 6.0), 40, "radius"),
+        (math.nan, (-6.0, 6.0), 40, "radius"),
+        (1.0, (-6.0, 6.0), 80.0, "resolution"),
+        (1.0, (-6.0, 6.0), 1, "resolution"),
+    ],
+    ids=["truncation-inf", "radius-inf", "radius-nan", "resolution-float", "resolution-1"],
+)
+def test_minorization_rejects_meaningless_inputs(radius, truncation, resolution, match):
+    spec = SystemSpec.lds([[0.5]])
+    with pytest.raises(ValueError, match=match):
+        minorization_beta(spec, radius, truncation, resolution=resolution)
+
+
+def test_minorization_rejects_start_grid_missing_the_ball():
+    # at resolution 2 the 2-D start grid is the four corners of the square,
+    # all outside the ball
+    spec = SystemSpec.lds(np.eye(2) * 0.5)
+    with pytest.raises(ValueError, match="start grid"):
+        minorization_beta(spec, 1.0, (-4.0, 4.0), resolution=2)
+
+
+def _brute_force_mass(spec, radius, truncation, resolution):
+    """Midpoint quadrature taking the max over every mapped start point."""
+    n = spec.dim
+    box = np.asarray(truncation, dtype=float)
+    if box.shape == (2,):
+        box = np.tile(box, (n, 1))
+    if radius == 0.0:
+        xs = np.zeros((1, n))
+    else:
+        axes = [np.linspace(-radius, radius, resolution) for _ in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        xs = np.stack([m.ravel() for m in mesh], axis=1)
+        xs = xs[np.linalg.norm(xs, axis=1) <= radius]
+    mus = _apply_matrices(spec, xs)
+    centers = [
+        lo + (hi - lo) / resolution * (np.arange(resolution) + 0.5) for lo, hi in box
+    ]
+    mesh = np.meshgrid(*centers, indexing="ij")
+    ys = np.stack([m.ravel() for m in mesh], axis=1)
+    cell = float(np.prod([(hi - lo) / resolution for lo, hi in box]))
+    log_norm = -0.5 * n * math.log(2.0 * math.pi)
+    total = 0.0
+    chunk = max(1, 2**22 // max(len(mus), 1))
+    for start in range(0, len(ys), chunk):
+        block = ys[start : start + chunk]
+        d2 = ((block[:, None, :] - mus[None, :, :]) ** 2).sum(axis=2)
+        worst = d2.max(axis=1)
+        total += float(np.exp(log_norm - 0.5 * worst).sum()) * cell
+    return min(total, 1.0)
+
+
+def _box_switched_system():
+    """A unit map on the box |x_i| <= 0.7, a contractive rotation elsewhere."""
+    box = tuple((normal, 0.7) for normal in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    return SystemSpec.slds(
+        [
+            (Predicate(halfspaces=box), np.eye(2)),
+            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, radius, truncation, resolution",
+    [
+        (SystemSpec.lds([[0.5]]), 1.5, (-6.0, 6.0), 300),
+        (SystemSpec.lds([[0.8, 0.3], [-0.2, 0.6]]), 2.0, (-6.0, 6.0), 50),
+        (_box_switched_system(), 1.0, (-6.0, 6.0), 40),
+        (_box_switched_system(), 3.0, (-6.0, 6.0), 40),
+        (SystemSpec.lds(np.zeros((2, 2))), 1.0, (-4.0, 4.0), 40),
+        (SystemSpec.lds([[1.0, 0.0], [0.0, 0.0]]), 1.0, (-4.0, 4.0), 40),
+        (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 0.0, (-4.0, 4.0), 40),
+        (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 1.0, [[-4.0, 4.0], [-6.0, 5.0]], 40),
+    ],
+    ids=["lds-1d", "lds-2d", "slds-box", "slds-box-r3", "zero", "rank-one",
+         "radius-0", "per-axis-box"],
+)
+def test_minorization_hull_band_is_bit_identical(spec, radius, truncation, resolution):
+    est = minorization_beta(spec, radius, truncation, resolution=resolution)
+    assert est.mass == _brute_force_mass(spec, radius, truncation, resolution)
+
+
+def test_minorization_memory_scales_with_the_hull_band():
+    # the whole-grid quadrature holds a (chunk, grid points, 2) difference
+    # array of 2**23 floats, 64 MiB, twice; the hull band is ~4% of the grid
+    spec = _box_switched_system()
+    tracemalloc.start()
+    try:
+        minorization_beta(spec, 1.0, (-6.0, 6.0), resolution=80)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------- harris metric
