@@ -1,7 +1,7 @@
 """Drive the three CLI commands from a declarative config.
 
 The CLI reads one JSON config naming the system, the pipeline, and the
-master seed; flags only override the seed, workers, and output directory.
+master seed; flags only override the seed and the output directory.
 Reports embed the config and its hash, so any report can be reproduced
 from its own contents.
 

@@ -1,9 +1,9 @@
 """Batch front door: declarative configs in, reports out.
 
 A single JSON config names the system, the pipeline, its parameters, and
-the master seed; flags only override the seed, the worker count, and the
-output directory.  Reports are canonical JSON (sorted keys, no timestamps)
-plus plot-ready CSV, so identical configs always produce identical bytes.
+the master seed; flags only override the seed and the output directory.
+Reports are canonical JSON (sorted keys, no timestamps) plus plot-ready
+CSV, so identical configs always produce identical bytes.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 bad config,
 inadmissible system, or certificate constants too large for a float.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,8 +74,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    Only (pipeline, system, params, seed) identify the experiment; worker
-    count and output paths are execution detail and stay out of the hash.
+    Only (pipeline, system, params, seed) identify the experiment; output
+    paths are execution detail and stay out of the hash.
     """
 
     pipeline: str
@@ -236,7 +235,7 @@ def _resolve_te_constant(config: ExperimentConfig, spec: SystemSpec) -> float:
     return te_constant(drift_from_exp_lyapunov(moment))
 
 
-def _run_deviation(config: ExperimentConfig, workers: int):
+def _run_deviation(config: ExperimentConfig):
     spec = config.require_system()
     mode = config.param("mode", "trajectory")
     reward = config.param("reward", "norm")
@@ -252,7 +251,6 @@ def _run_deviation(config: ExperimentConfig, workers: int):
         "target_mean": config.param("target_mean"),
         "target_provenance": config.param("target_provenance"),
         "target_samples": int(config.param("target_samples", 100_000)),
-        "workers": workers,
     }
     if mode == "trajectory":
         return deviation_probability_experiment(
@@ -285,7 +283,7 @@ def _run_drift_check(config: ExperimentConfig):
     return report, len(violations) == 0
 
 
-def _run_contraction(config: ExperimentConfig, workers: int):
+def _run_contraction(config: ExperimentConfig):
     spec = config.require_system()
     per_step = int(config.param("per_step", 512))
     reference = burn_in_sampler(
@@ -293,7 +291,6 @@ def _run_contraction(config: ExperimentConfig, workers: int):
         int(config.param("reference_count", 2 * per_step)),
         int(config.param("reference_burn_in", 100)),
         derive_seed(config.seed, _STREAM_CLI_REFERENCE),
-        workers=workers,
     )
     fit = contraction_rate_fit(
         spec,
@@ -311,7 +308,7 @@ def _run_contraction(config: ExperimentConfig, workers: int):
     return fit, passed
 
 
-def cmd_verify(config: ExperimentConfig, workers: int = 1):
+def cmd_verify(config: ExperimentConfig):
     """Run the configured verification experiment.
 
     Returns (report, passed flag); the report writes its own JSON dict and
@@ -322,11 +319,11 @@ def cmd_verify(config: ExperimentConfig, workers: int = 1):
             f"verify expects one of {_VERIFY_PIPELINES}, got {config.pipeline!r}"
         )
     if config.pipeline == "verify-deviation":
-        report = _run_deviation(config, workers)
+        report = _run_deviation(config)
         return report, report.all_pass
     if config.pipeline == "verify-lyapunov":
         return _run_drift_check(config)
-    return _run_contraction(config, workers)
+    return _run_contraction(config)
 
 
 def _sweep_rows(config: ExperimentConfig):
@@ -409,17 +406,6 @@ def cmd_sweep(config: ExperimentConfig):
 # ----------------------------------------------------------------- front end
 
 
-def _resolve_workers(flag_value) -> int:
-    if flag_value is not None:
-        workers = flag_value
-    else:
-        env = os.environ.get("CONCENTRIX_WORKERS")
-        workers = int(env) if env else 1
-    if workers < 1:
-        raise ConfigError("worker count must be at least 1")
-    return workers
-
-
 def _emit(out_dir: Path, stem: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{stem}.json"
@@ -445,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker pool size (default: CONCENTRIX_WORKERS or 1)",
+            help="accepted for compatibility: must be at least 1, otherwise ignored; "
+            "every run is serial",
         )
         p.add_argument("--out", default=None, help="output directory")
     return parser
@@ -455,7 +442,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
-        workers = _resolve_workers(args.workers)
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("worker count must be at least 1")
         out_dir = Path(args.out) if args.out else (config.out or Path.cwd())
 
         if args.command == "certify":
@@ -469,7 +457,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            report, passed = cmd_verify(config, workers=workers)
+            report, passed = cmd_verify(config)
             path = _emit(out_dir, "report", _envelope(config, report.to_dict()))
             report.to_csv(out_dir / "report.csv")
             print(f"report written to {path}")

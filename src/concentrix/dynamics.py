@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linprog
 
 __all__ = [
     "HypothesisError",
@@ -51,7 +52,6 @@ class HypothesisError(ValueError):
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_CONTAINMENT_SEED = 0x636F6E7461696E  # fixed stream for containment sampling
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -348,7 +348,7 @@ class SystemSpec:
     """Immutable description of a linear or switched linear system.
 
     Use the :meth:`lds` and :meth:`slds` factories; matrices are stored
-    read-only so instances are safely shareable across threads.
+    read-only so an instance cannot change once built.
     """
 
     kind: str
@@ -514,6 +514,7 @@ def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
         for k in range(n_steps):
             cur = _apply_matrices(spec, cur) + noise[:, k]
         out[lo : lo + chunk] = cur
+        del noise  # free this chunk's noise before the next one is drawn
     return out
 
 
@@ -534,7 +535,6 @@ class RegionCheck:
     region: int
     norm: float
     classification: str  # "contractive" | "bounded" | "violation"
-    containment: str | None = None  # "analytic" | "sampled"
     reason: str | None = None
 
 
@@ -561,7 +561,6 @@ class HypothesisReport:
                     "region": c.region,
                     "norm": c.norm,
                     "classification": c.classification,
-                    "containment": c.containment,
                     "reason": c.reason,
                 }
                 for c in self.regions
@@ -569,29 +568,37 @@ class HypothesisReport:
         }
 
 
-def _region_contained_in_ball(regions: RegionSpec, j: int, radius: float, dim: int):
-    """Check region j lies inside the closed ball of the given radius.
+# HiGHS's default primal feasibility tolerance; pads the linprog caps
+_LP_TOL = 1e-7
 
-    Analytic when the predicate carries a ``ball_le`` bound or is clearly
-    unbounded; otherwise probes 10**5 directions on a sphere of radius
-    ``radius * (1 + 1e-6)``, a probabilistic boundary check (reported as
-    "sampled").
+
+def _region_contained_in_ball(pred: Predicate, radius: float, dim: int) -> bool:
+    """Whether every point matching ``pred`` lies in the closed ``radius`` ball.
+
+    A ``ball_le`` bound settles it.  Otherwise each coordinate is maximised
+    and minimised over the halfspaces with ``linprog``: an unbounded program
+    means an unbounded region and infeasible ones an empty region; else the
+    region lies in the box of the per-coordinate caps, padded by the solver
+    tolerance, and is contained when the box's corner is.  Dropping
+    ``ball_gt`` and the earlier regions only enlarges the region, so the
+    answer can be a false "no" but never a false "yes".
     """
-    pred = regions.predicates[j]
-    if pred.catch_all:
-        return False, "analytic"
     if pred.ball_le is not None:
-        return pred.ball_le <= radius, "analytic"
-    if pred.ball_gt is not None and not pred.halfspaces:
-        return False, "analytic"
-    gen = np.random.Generator(np.random.PCG64(derive_seed(_CONTAINMENT_SEED, j)))
-    dirs = gen.standard_normal((100_000, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    probes = dirs * (radius * (1.0 + 1e-6))
-    claimed = regions.predicates[j].matches_batch(probes)
-    for i in range(j):
-        claimed &= ~regions.predicates[i].matches_batch(probes)
-    return not bool(claimed.any()), "sampled"
+        return pred.ball_le <= radius
+    normals = np.array([normal for normal, _ in pred.halfspaces]).reshape(-1, dim)
+    offsets = np.array([offset for _, offset in pred.halfspaces])
+    caps = np.zeros(dim)
+    for i in range(dim):
+        for sign in (1.0, -1.0):
+            objective = np.zeros(dim)
+            objective[i] = -sign  # linprog minimises, so this maximises sign * x_i
+            res = linprog(objective, A_ub=normals, b_ub=offsets, bounds=(None, None))
+            if res.status == 2:
+                return True  # no point satisfies the halfspaces
+            if res.status != 0:
+                return False  # unbounded, or the solver could not decide
+            caps[i] = max(caps[i], abs(res.fun))
+    return float(np.linalg.norm(caps + _LP_TOL * (1.0 + caps))) <= radius
 
 
 def check_slds_hypothesis(
@@ -615,11 +622,10 @@ def check_slds_hypothesis(
         if nrm <= contraction:
             checks.append(RegionCheck(j, nrm, "contractive"))
             continue
-        contained, method = _region_contained_in_ball(spec.regions, j, radius, spec.dim)
-        if not contained:
+        if not _region_contained_in_ball(spec.regions.predicates[j], radius, spec.dim):
             checks.append(
                 RegionCheck(
-                    j, nrm, "violation", method,
+                    j, nrm, "violation",
                     f"matrix norm {nrm:.6g} exceeds contraction bound and the "
                     f"region is not contained in the radius-{radius:g} ball",
                 )
@@ -627,12 +633,12 @@ def check_slds_hypothesis(
         elif nrm > lipschitz:
             checks.append(
                 RegionCheck(
-                    j, nrm, "violation", method,
+                    j, nrm, "violation",
                     f"bounded region matrix norm {nrm:.6g} exceeds {lipschitz:g}",
                 )
             )
         else:
-            checks.append(RegionCheck(j, nrm, "bounded", method))
+            checks.append(RegionCheck(j, nrm, "bounded"))
     passed = all(c.classification != "violation" for c in checks)
     return HypothesisReport(passed, tuple(checks), radius, contraction, lipschitz)
 

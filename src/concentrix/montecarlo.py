@@ -1,16 +1,13 @@
 """Monte Carlo verification of concentration certificates.
 
-Every experiment here is deterministic given its master seed: replication
-seeds come from a fixed avalanche derivation, work is cut into fixed-size
-blocks whose layout does not depend on the worker count, and results are
-reduced in block order.  Running with one worker or many produces the same
-bytes.
+Every experiment here is deterministic given its master seed: each
+replication and each trajectory gets its own seed from a fixed avalanche
+derivation, so a report's bytes depend only on the config and the seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import metadata
 
@@ -69,7 +66,8 @@ class PrecisionError(RuntimeError):
     """Requested precision is unreachable within the sample budget."""
 
 
-_BLOCK = 256  # replication block size; fixed so results never depend on workers
+# replications per average() call; bounds trajectory mode's (256, T+1, n) states
+_BLOCK = 256
 
 # derived-seed substream labels
 _STREAM_REPLICATION = 1
@@ -84,19 +82,6 @@ def _code_version() -> str:
         return metadata.version("concentrix")
     except metadata.PackageNotFoundError:  # pragma: no cover
         return "unknown"
-
-
-def _substream(seed: int, label: int) -> int:
-    return derive_seed(seed, label)
-
-
-def _map_blocks(n_tasks: int, workers: int, fn, block: int = _BLOCK):
-    """Apply fn(start, stop) over fixed-size index blocks, in block order."""
-    blocks = [(s, min(s + block, n_tasks)) for s in range(0, n_tasks, block)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: fn(*b), blocks))
-    return [fn(*b) for b in blocks]
 
 
 def _resolve_reward(reward):
@@ -218,29 +203,20 @@ def burn_in_sampler(
     burn_in: int,
     seed: int,
     x0=None,
-    workers: int = 1,
 ) -> SampleBatch:
     """Final states of ``count`` independent trajectories of length ``burn_in``.
 
-    Each trajectory gets its own derived seed, so the batch is identical
-    however the work is scheduled.  ``x0`` defaults to the origin.  Only
-    endpoints are kept: work is cut into chunks whose noise fits the fixed
-    budget of :func:`~concentrix.dynamics.simulate_endpoints`.
+    Each trajectory gets its own derived seed.  ``x0`` defaults to the
+    origin.  Only endpoints are kept: work is cut into chunks whose noise
+    fits the fixed budget of :func:`~concentrix.dynamics.simulate_endpoints`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     start = np.zeros(spec.dim) if x0 is None else x0
-    seeds = derive_seeds(seed, 0, count)
-    parts = _map_blocks(
-        count,
-        workers,
-        lambda lo, hi: simulate_endpoints(spec, start, burn_in, seeds[lo:hi]),
-        block=_endpoint_chunk(burn_in, spec.dim),
-    )
     return SampleBatch(
-        points=np.concatenate(parts, axis=0),
+        points=simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count)),
         provenance="burn_in_endpoints",
         master_seed=seed,
         burn_in=burn_in,
@@ -344,7 +320,6 @@ def _deviation_report(
     epsilons: tuple,
     replications: int,
     seed: int,
-    workers: int,
     target_mean,
     target_provenance,
     target_samples: int,
@@ -372,8 +347,7 @@ def _deviation_report(
     }
     if target_mean is None:
         batch = burn_in_sampler(
-            spec, target_samples, target_burn_in, _substream(seed, _STREAM_TARGET),
-            workers=workers,
+            spec, target_samples, target_burn_in, derive_seed(seed, _STREAM_TARGET)
         )
         target_mean, target_stderr = _mean_stderr(reward_fn(batch.points))
         target_provenance = "monte_carlo_burn_in"
@@ -381,13 +355,12 @@ def _deviation_report(
     else:
         target_mean = float(target_mean)
 
-    rep_stream = _substream(seed, _STREAM_REPLICATION)
+    rep_stream = derive_seed(seed, _STREAM_REPLICATION)
     averages = np.concatenate(
-        _map_blocks(
-            replications,
-            workers,
-            lambda lo, hi: average(derive_seeds(rep_stream, lo, hi)),
-        )
+        [
+            average(derive_seeds(rep_stream, lo, min(lo + _BLOCK, replications)))
+            for lo in range(0, replications, _BLOCK)
+        ]
     )
     deviations = np.abs(averages - target_mean)
     counts = tuple(int(np.sum(deviations > cert.bias + eps)) for eps in epsilons)
@@ -423,7 +396,6 @@ def deviation_probability_experiment(
     seed: int,
     target_mean: float | None = None,
     target_provenance: str | None = None,
-    workers: int = 1,
     bias_samples: int = 512,
     bias_burn_in: int = 200,
     target_samples: int = 100_000,
@@ -458,11 +430,10 @@ def deviation_probability_experiment(
 
     x0v = np.asarray(x0, dtype=float).reshape(-1)
     one_step = simulate_endpoints(
-        spec, x0v, 1, derive_seeds(_substream(seed, _STREAM_BIAS), 0, bias_samples)
+        spec, x0v, 1, derive_seeds(derive_seed(seed, _STREAM_BIAS), 0, bias_samples)
     )
     reference = burn_in_sampler(
-        spec, bias_samples, bias_burn_in, _substream(seed, _STREAM_REFERENCE),
-        workers=workers,
+        spec, bias_samples, bias_burn_in, derive_seed(seed, _STREAM_REFERENCE)
     )
     w1_start = empirical_w1(one_step, reference).value
 
@@ -478,7 +449,7 @@ def deviation_probability_experiment(
         bias=bias_term(w1_start, n_samples, rate),
     )
     return _deviation_report(
-        spec, reward, average, cert, epsilons, replications, seed, workers,
+        spec, reward, average, cert, epsilons, replications, seed,
         target_mean, target_provenance, target_samples,
         target_burn_in=bias_burn_in,
         target_details={"target_samples": target_samples},
@@ -505,7 +476,6 @@ def iid_deviation_experiment(
     seed: int,
     target_mean: float | None = None,
     target_provenance: str | None = None,
-    workers: int = 1,
     diagnostic_samples: int = 512,
     target_samples: int = 100_000,
 ) -> DeviationReport:
@@ -529,12 +499,12 @@ def iid_deviation_experiment(
     reward = _resolve_reward(reward)
     reward_fn, lipschitz, _ = reward
 
-    diag_stream = _substream(seed, _STREAM_DIAGNOSTIC)
+    diag_stream = derive_seed(seed, _STREAM_DIAGNOSTIC)
     short = burn_in_sampler(
-        spec, diagnostic_samples, burn_in, derive_seed(diag_stream, 0), workers=workers
+        spec, diagnostic_samples, burn_in, derive_seed(diag_stream, 0)
     )
     long = burn_in_sampler(
-        spec, diagnostic_samples, 4 * burn_in, derive_seed(diag_stream, 1), workers=workers
+        spec, diagnostic_samples, 4 * burn_in, derive_seed(diag_stream, 1)
     )
     diagnostic_w1 = empirical_w1(short, long).value
 
@@ -558,7 +528,7 @@ def iid_deviation_experiment(
         constant=te_const, rate=0.0, n_samples=n_samples, lipschitz=lipschitz
     )
     return _deviation_report(
-        spec, reward, average, cert, epsilons, replications, seed, workers,
+        spec, reward, average, cert, epsilons, replications, seed,
         target_mean, target_provenance, target_samples,
         target_burn_in=2 * burn_in,
         target_details={"target_burn_in": 2 * burn_in},
@@ -641,7 +611,7 @@ def contraction_rate_fit(
     ref_a, ref_b = ref[:per_step], ref[per_step : 2 * per_step]
     noise_floor = empirical_w1(ref_a, ref_b, metric).value
 
-    seeds = derive_seeds(_substream(seed, _STREAM_REPLICATION), 0, per_step)
+    seeds = derive_seeds(derive_seed(seed, _STREAM_REPLICATION), 0, per_step)
     states = simulate_batch(spec, x0, n_max, seeds)
     distances = np.array(
         [empirical_w1(states[:, n, :], ref_a, metric).value for n in range(1, n_max + 1)]

@@ -175,6 +175,32 @@ def test_certify_exponent_overflow_exits_2(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
+def test_certify_unbounded_expanding_region_exits_2(tmp_path, capsys):
+    # an expanding half-plane beyond radius 5 is unbounded, so the
+    # geometric-mixing hypothesis fails and no certificate is issued
+    system = {
+        "type": "slds",
+        "regions": [
+            {
+                "predicate": {
+                    "ball_gt": 5.0,
+                    "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.0}],
+                },
+                "A": [[1.5, 0.0], [0.0, 1.5]],
+            },
+            {"predicate": {"catch_all": True}, "A": [[0.5, 0.0], [0.0, 0.5]]},
+        ],
+    }
+    params = {**SLDS_PARAMS, "lipschitz": 2.0}
+    path = write_config(
+        tmp_path, {"pipeline": "certify", "system": system, "seed": 1, "params": params}
+    )
+    out = tmp_path / "out"
+    assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisError"
+    assert not (out / "certificate.json").exists()
+
+
 def test_certify_missing_seed_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"pipeline": "certify", "system": LDS_HALF})
     code = main(["certify", "--config", path])
@@ -568,6 +594,23 @@ def test_workers_do_not_change_bytes(tmp_path):
             (out / "report.json").read_bytes() + (out / "report.csv").read_bytes()
         )
     assert results[0] == results[1]
+
+
+def test_workers_below_one_exits_2(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {
+            "pipeline": "verify-deviation",
+            "system": LDS_HALF,
+            "seed": 12,
+            "params": SMALL_DEVIATION_PARAMS,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out), "--workers", "0"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": "worker count must be at least 1"}
+    assert not (out / "report.json").exists()
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for system definitions, simulation, and seed derivation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from concentrix.dynamics import (
     system_from_dict,
     system_to_dict,
 )
+from concentrix.lyapunov import slds_exp_lyapunov
 
 
 def ball_then_catchall(a_inner, a_outer, radius=1.0):
@@ -215,7 +218,6 @@ def test_hypothesis_bounded_ball_region_analytic():
     assert report.passed
     inner = report.regions[0]
     assert inner.classification == "bounded"
-    assert inner.containment == "analytic"
 
 
 def test_hypothesis_halfspace_region_checked_by_sampling():
@@ -229,9 +231,7 @@ def test_hypothesis_halfspace_region_checked_by_sampling():
     # the slab is NOT contained in the unit ball (extends along x_2)
     report = check_slds_hypothesis(spec, radius=1.0, contraction=0.5, lipschitz=1.0)
     assert not report.passed
-    assert report.regions[0].containment == "sampled"
-    # but it is contained in a much larger ball only in the sampled shell;
-    # bounded classification needs an actual ball predicate for a pass
+    # a ball_le bound inside the hypothesis radius settles containment
     spec2 = SystemSpec.slds(
         [
             (Predicate(ball_le=0.5, halfspaces=(((1.0, 0.0), 0.4),)), np.eye(2) * 0.9),
@@ -241,6 +241,56 @@ def test_hypothesis_halfspace_region_checked_by_sampling():
     report2 = check_slds_hypothesis(spec2, radius=1.0, contraction=0.5, lipschitz=1.0)
     assert report2.passed
     assert report2.regions[0].classification == "bounded"
+
+
+def test_hypothesis_rejects_unbounded_region_outside_the_ball():
+    # the half-plane x_1 <= 0 beyond radius 5 never meets the unit sphere,
+    # yet it is unbounded and expanding: paths from (-6, 0) blow up
+    outside = Predicate(ball_gt=5.0, halfspaces=(((1.0, 0.0), 0.0),))
+    spec = SystemSpec.slds(
+        [(outside, 1.5 * np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
+    )
+    report = check_slds_hypothesis(spec, radius=1.0, contraction=0.5, lipschitz=2.0)
+    assert not report.passed
+    assert report.violations[0].region == 0
+    with pytest.raises(HypothesisError):
+        slds_exp_lyapunov(spec, 1.0, 0.5, 2.0, 0.25)
+    assert np.linalg.norm(simulate(spec, [-6.0, 0.0], 30, seed=0).states[-1]) > 1e5
+
+
+BOX_07 = Predicate(
+    halfspaces=tuple((n, 0.7) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+)
+# x, y >= 0 and x + y <= 1: inside the unit ball, but judged by its box [0, 1]^2
+TRIANGLE = Predicate(halfspaces=(((1.0, 1.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)))
+
+
+@pytest.mark.parametrize(
+    "pred, radius, contained",
+    [
+        (BOX_07, 1.0, True),  # corner norm 0.98995
+        (BOX_07, 0.98, False),
+        (TRIANGLE, 1.5, True),
+        (TRIANGLE, 1.4, False),
+        (Predicate(halfspaces=(((1.0, 0.0), -1.0), ((-1.0, 0.0), -1.0))), 0.0, True),  # empty
+        (Predicate(halfspaces=(((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5))), 100.0, False),  # slab
+        (Predicate(ball_gt=5.0), 100.0, False),
+        (Predicate(catch_all=True), 100.0, False),
+        (Predicate(ball_le=0.5, halfspaces=(((1.0, 0.0), 0.4),)), 0.5, True),
+        (Predicate(ball_le=2.0, halfspaces=(((1.0, 0.0), 0.4),)), 1.0, False),
+    ],
+)
+def test_region_containment_is_exact_or_rejects(pred, radius, contained):
+    assert dynamics._region_contained_in_ball(pred, radius, 2) is contained
+
+
+def test_hypothesis_box_region_bounded():
+    spec = SystemSpec.slds(
+        [(BOX_07, np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
+    )
+    report = check_slds_hypothesis(spec, radius=1.0, contraction=0.6, lipschitz=1.0)
+    assert report.passed
+    assert report.regions[0].classification == "bounded"
 
 
 # ---------------------------------------------------------------- serialization
@@ -381,6 +431,19 @@ def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypa
     endpoints = simulate_endpoints(spec, x0, n_steps, seeds)
     assert endpoints.shape == (10, spec.dim)
     assert np.array_equal(endpoints, simulate_batch(spec, x0, n_steps, seeds)[:, -1])
+
+
+def test_simulate_endpoints_holds_one_noise_chunk():
+    # 10,000 trajectories of 200 steps are 16 chunks of 1 MiB noise; drawing
+    # a chunk while the previous one is still referenced would hold 2 MiB
+    seeds = derive_seeds(1, 0, 10_000)
+    tracemalloc.start()
+    try:
+        simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 200, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2**20
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

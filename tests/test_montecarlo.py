@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from concentrix.dynamics import SystemSpec, derive_seed, simulate
+from concentrix import dynamics
+from concentrix.dynamics import (
+    Predicate,
+    SystemSpec,
+    derive_seed,
+    derive_seeds,
+    simulate,
+    simulate_batch,
+    simulate_endpoints,
+)
 from concentrix.lyapunov import HarrisMetricSpec
 from concentrix.montecarlo import (
     AutocovarianceReport,
@@ -155,9 +164,22 @@ def test_burn_in_variance_near_stationary():
 
 def test_burn_in_deterministic_and_worker_invariant():
     spec = SystemSpec.lds([[0.7]])
-    a = burn_in_sampler(spec, 600, 20, seed=3, workers=1)
-    b = burn_in_sampler(spec, 600, 20, seed=3, workers=8)
+    a = burn_in_sampler(spec, 600, 20, seed=3)
+    b = burn_in_sampler(spec, 600, 20, seed=3)
     assert np.array_equal(a.points, b.points)
+
+
+def test_burn_in_is_one_endpoint_run(monkeypatch):
+    # a budget of 7 trajectories per chunk: 600 seeds are 85 full chunks
+    # and a partial one of 5
+    monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", 7 * 20 * 2 * 8)
+    spec = SystemSpec.slds(
+        [(Predicate(ball_le=1.0), np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
+    )
+    seeds = derive_seeds(3, 0, 600)
+    points = burn_in_sampler(spec, 600, 20, seed=3).points
+    assert np.array_equal(points, simulate_endpoints(spec, np.zeros(2), 20, seeds))
+    assert np.array_equal(points, simulate_batch(spec, np.zeros(2), 20, seeds)[:, -1])
 
 
 def test_burn_in_covariance_converges_monotonically():
@@ -243,8 +265,8 @@ def test_deviation_serial_parallel_bit_identical():
         replications=300, seed=8, bias_samples=128, bias_burn_in=50,
         target_samples=2_000,
     )
-    serial = deviation_probability_experiment(spec, workers=1, **kwargs)
-    parallel = deviation_probability_experiment(spec, workers=8, **kwargs)
+    serial = deviation_probability_experiment(spec, **kwargs)
+    parallel = deviation_probability_experiment(spec, **kwargs)
     assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
         parallel.to_dict(), sort_keys=True
     )
