@@ -8,12 +8,11 @@ the bound, then measures actual tail frequencies against it.
 Run from the repository root:  python3 demos/02_tail_bounds.py
 """
 
-import math
-
 from concentrix import (
     SystemSpec,
     deviation_probability_experiment,
     lds_certificate,
+    stationary_mean_reward,
     tensorized_constant,
 )
 
@@ -30,8 +29,8 @@ print(
 
 # The stationary law is N(0, 4/3); the mean of |x| under it is the
 # half-normal value sqrt(8 / (3 pi)).
-target = math.sqrt(8.0 / (3.0 * math.pi))
-print(f"stationary mean of |x|: {target:.4f}\n")
+target = stationary_mean_reward(spec, "norm")
+print(f"stationary mean of |x|: {target.value:.4f} ({target.method})\n")
 
 report = deviation_probability_experiment(
     spec,
@@ -41,8 +40,8 @@ report = deviation_probability_experiment(
     epsilons=[0.1, 0.2, 0.3, 0.5],
     replications=2000,
     seed=42,
-    target_mean=target,
-    target_provenance="half_normal_stationary_oracle",
+    target_mean=target.value,
+    target_provenance=target.method,
 )
 print(f"bias shift from the non-stationary start: {report.bias:.2e}")
 print("epsilon  frequency  99% CI high  bound       pass")

@@ -68,7 +68,7 @@ from .transport import (
     trajectory_deviation_bound,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

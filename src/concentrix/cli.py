@@ -255,7 +255,6 @@ def _run_deviation(config: ExperimentConfig):
     if mode == "trajectory":
         return deviation_probability_experiment(
             x0=config.param("x0", required=True),
-            bias_samples=int(config.param("bias_samples", 512)),
             bias_burn_in=int(config.param("bias_burn_in", 200)),
             **shared,
         )

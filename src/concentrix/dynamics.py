@@ -370,6 +370,14 @@ class SystemSpec:
         dims = {m.shape[0] for m in mats}
         if len(dims) != 1:
             raise ValueError("all region matrices must share one dimension")
+        (dim,) = dims
+        for pred in preds:
+            for normal, _ in pred.halfspaces:
+                if len(normal) != dim:
+                    raise ValueError(
+                        f"halfspace normal {list(normal)} has length {len(normal)}, "
+                        f"but the system has dimension {dim}"
+                    )
         return cls(kind="slds", matrices=mats, regions=RegionSpec(preds))
 
     @property

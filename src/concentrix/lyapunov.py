@@ -448,19 +448,37 @@ def _hull_band(mus: np.ndarray, box: tuple) -> np.ndarray:
     combination of hull vertices that each lie at least ``delta`` from it,
     so its squared distance to any ``y`` is at most the vertices' maximum
     minus ``delta^2``.  Dropping such points leaves every maximum unchanged
-    to the last bit.  Inputs Qhull cannot triangulate (fewer than three
-    points, or all on one line) keep every point.
+    to the last bit.  Points Qhull cannot triangulate (fewer than three, or
+    all on one line) are measured along the line from the first point to
+    the one farthest from it, and the two end bands are kept as in one
+    dimension.  That needs every point within ``delta^2 / (32 scale)`` of
+    the line, which moves each squared distance by less than ``delta^2 /
+    4``; points farther off the line are all kept.
     """
-    delta = _HULL_BAND * max(np.abs(mus).max(), np.abs(box).max())
+    scale = max(np.abs(mus).max(), np.abs(box).max())
+    delta = _HULL_BAND * scale
     if mus.shape[1] == 1:
-        col = mus[:, 0]
-        return mus[(col - col.min() < delta) | (col.max() - col < delta)]
+        return mus[_end_bands(mus[:, 0], delta)]
     try:
         hull = ConvexHull(mus)
     except QhullError:
-        return mus
+        offsets = mus - mus[0]
+        reach = np.linalg.norm(offsets, axis=1)
+        if reach.max() == 0.0:
+            return mus
+        unit = offsets[reach.argmax()] / reach.max()
+        along = offsets @ unit
+        off_line = np.linalg.norm(offsets - along[:, None] * unit, axis=1).max()
+        if off_line > delta * delta / (32.0 * scale):
+            return mus
+        return mus[_end_bands(along, delta)]
     depth = -(mus @ hull.equations[:, :-1].T + hull.equations[:, -1]).max(axis=1)
     return mus[depth < delta]
+
+
+def _end_bands(coords: np.ndarray, delta: float) -> np.ndarray:
+    """Mask of the coordinates within ``delta`` of their minimum or maximum."""
+    return (coords - coords.min() < delta) | (coords.max() - coords < delta)
 
 
 def minorization_beta(

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+from scipy.special import ellipe
 from scipy.stats import beta as beta_dist
 
 from .dynamics import (
@@ -33,6 +34,7 @@ from .transport import (
     NotContractiveError,
     _psd_sqrt,
     bias_term,
+    gaussian_w2,
     lds_certificate,
     trajectory_deviation_bound,
 )
@@ -71,8 +73,6 @@ _BLOCK = 256
 
 # derived-seed substream labels
 _STREAM_REPLICATION = 1
-_STREAM_BIAS = 2
-_STREAM_REFERENCE = 3
 _STREAM_TARGET = 4
 _STREAM_DIAGNOSTIC = 5
 
@@ -396,7 +396,6 @@ def deviation_probability_experiment(
     seed: int,
     target_mean: float | None = None,
     target_provenance: str | None = None,
-    bias_samples: int = 512,
     bias_burn_in: int = 200,
     target_samples: int = 100_000,
 ) -> DeviationReport:
@@ -405,18 +404,23 @@ def deviation_probability_experiment(
     Runs ``replications`` independent trajectories of ``n_samples`` steps
     from ``x0``, averages the reward over the sampled states (the start
     point is excluded), and counts deviations from the target mean beyond
-    ``bias + epsilon``.  The bias shift is estimated as the empirical W1
-    between one-step samples and a burn-in reference batch, divided by
-    ``n_samples * (1 - rate)``.  Bounds come from the per-step transport
-    certificate of the linear system; the target mean is estimated from an
-    independent burn-in batch when not supplied (supplied targets must
-    state their provenance).
+    ``bias + epsilon``.  Bounds come from the per-step transport certificate
+    of the linear system, whose stationary law is exactly N(0, S) with
+    ``S = A S A^T + I``.  The bias shift is ``L * W2 / (n_samples * (1 -
+    rate))``, with ``W2`` the closed-form distance from the one-step law
+    N(A x0, I) to N(0, S); it bounds W1, so the shift is a true upper bound
+    on the start-point bias of an ``L``-Lipschitz reward.  An unsupplied
+    target is the exact stationary mean where a closed form exists (the
+    coordinate reward, and the norm reward in one or two dimensions);
+    otherwise it is the Monte Carlo mean of ``target_samples`` endpoints
+    after ``bias_burn_in`` steps.  Supplied targets must state their
+    provenance.
     """
     epsilons = _check_experiment(
         n_samples, epsilons, replications, target_mean, target_provenance, target_samples
     )
     if bias_burn_in < 1:
-        # the reference batch (and a Monte Carlo target) would be the start point
+        # a Monte Carlo target would be the start point
         raise ValueError("bias_burn_in must be at least 1")
     if spec.kind != "lds":
         raise ValueError(
@@ -424,18 +428,18 @@ def deviation_probability_experiment(
             "only linear systems are supported here"
         )
     reward = _resolve_reward(reward)
-    reward_fn, lipschitz, _ = reward
+    reward_fn, lipschitz, tag = reward
     t1, contraction = lds_certificate(spec)
     rate = contraction.rate
+    sigma = lds_stationary_covariance(spec)
+    if target_mean is None:
+        exact = _closed_form_mean(sigma, tag)
+        if exact is not None:
+            target_mean, target_provenance = exact
 
     x0v = np.asarray(x0, dtype=float).reshape(-1)
-    one_step = simulate_endpoints(
-        spec, x0v, 1, derive_seeds(derive_seed(seed, _STREAM_BIAS), 0, bias_samples)
-    )
-    reference = burn_in_sampler(
-        spec, bias_samples, bias_burn_in, derive_seed(seed, _STREAM_REFERENCE)
-    )
-    w1_start = empirical_w1(one_step, reference).value
+    n = spec.dim
+    w2_start = gaussian_w2(spec.matrices[0] @ x0v, np.eye(n), np.zeros(n), sigma)
 
     def average(seeds):
         states = simulate_batch(spec, x0v, n_samples, seeds)
@@ -446,7 +450,7 @@ def deviation_probability_experiment(
         rate=rate,
         n_samples=n_samples,
         lipschitz=lipschitz,
-        bias=bias_term(w1_start, n_samples, rate),
+        bias=lipschitz * bias_term(w2_start, n_samples, rate),
     )
     return _deviation_report(
         spec, reward, average, cert, epsilons, replications, seed,
@@ -458,8 +462,7 @@ def deviation_probability_experiment(
             "constant": t1.constant,
             "rate": rate,
             "x0": [float(v) for v in x0v],
-            "bias_w1": w1_start,
-            "bias_samples": bias_samples,
+            "bias_w2": w2_start,
             "bias_burn_in": bias_burn_in,
         },
     )
@@ -727,6 +730,28 @@ def lds_stationary_covariance(a) -> np.ndarray:
     return solve_discrete_lyapunov(a, np.eye(a.shape[0]))
 
 
+def _closed_form_mean(sigma: np.ndarray, tag: str) -> tuple[float, str] | None:
+    """Exact mean of a built-in reward under N(0, sigma) as (value, method).
+
+    The coordinate reward is zero by symmetry.  The norm reward is
+    half-normal in one dimension, ``sqrt(sigma) * sqrt(2/pi)``, and in two
+    dimensions, with eigenvalues ``l1 >= l2`` of sigma, it is
+    ``sqrt(2 l1 / pi) * E(1 - l2 / l1)`` for the complete elliptic integral
+    of the second kind ``E(m)``.  Returns None when no closed form applies.
+    """
+    if tag == "coordinate":
+        return 0.0, "symmetry_closed_form"
+    if tag != "norm" or sigma.shape[0] > 2:
+        return None
+    if sigma.shape[0] == 1:
+        value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
+        return value, "half_normal_closed_form"
+    _psd_sqrt(sigma)  # validates PSD
+    low, high = np.clip(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)), 0.0, None)
+    value = math.sqrt(2.0 * high / math.pi) * float(ellipe(1.0 - low / high)) if high else 0.0
+    return value, "elliptic_closed_form"
+
+
 @dataclass(frozen=True)
 class MeanEstimate:
     """Stationary mean of a reward, exact or Monte Carlo with a 99% CI."""
@@ -756,10 +781,10 @@ def stationary_mean_reward(
     """Mean reward under the stationary Gaussian law of a linear system.
 
     ``target`` is a linear SystemSpec, a stationary covariance matrix, or a
-    SampleBatch of (approximately) stationary points.  The scalar norm
-    reward has the half-normal closed form ``sigma * sqrt(2/pi)``; the
-    coordinate reward is exactly zero by symmetry; other cases fall back to
-    Monte Carlo with a CLT interval at the requested precision.
+    SampleBatch of (approximately) stationary points.  The coordinate
+    reward and the norm reward in one or two dimensions have closed forms
+    (see :func:`_closed_form_mean`); other cases fall back to Monte Carlo
+    with a CLT interval at the requested precision.
 
     Raises
     ------
@@ -776,11 +801,10 @@ def stationary_mean_reward(
         else:
             sigma = np.atleast_2d(np.asarray(target, dtype=float))
         n = sigma.shape[0]
-        if tag == "norm" and n == 1:
-            value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
-            return MeanEstimate(value=value, ci_halfwidth=0.0, method="half_normal_closed_form")
-        if tag == "coordinate":
-            return MeanEstimate(value=0.0, ci_halfwidth=0.0, method="symmetry_closed_form")
+        exact = _closed_form_mean(sigma, tag)
+        if exact is not None:
+            value, method = exact
+            return MeanEstimate(value=value, ci_halfwidth=0.0, method=method)
         gen = np.random.Generator(np.random.PCG64(seed))
         vals = reward_fn(gen.standard_normal((sample_budget, n)) @ _psd_sqrt(sigma))
         method = "gaussian_monte_carlo"

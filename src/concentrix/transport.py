@@ -226,7 +226,11 @@ def trajectory_deviation_bound(cert: ConcentrationCertificate, epsilon: float) -
 
 
 def bias_term(w1_to_stationary: float, n_samples: int, rate: float) -> float:
-    """Start-point shift of the deviation threshold: ``W1 / (N (1-rate))``."""
+    """Start-point shift of the deviation threshold: ``W1 / (N (1-rate))``.
+
+    This is the shift for a 1-Lipschitz reward; an ``L``-Lipschitz reward
+    shifts ``L`` times as far.
+    """
     if w1_to_stationary < 0:
         raise ValueError("distance must be nonnegative")
     if n_samples < 1:

@@ -46,7 +46,6 @@ SMALL_DEVIATION_PARAMS = {
     "n_samples": 40,
     "replications": 200,
     "epsilons": [0.3, 0.6],
-    "bias_samples": 128,
     "bias_burn_in": 50,
     "target_samples": 2000,
 }
@@ -198,6 +197,27 @@ def test_certify_unbounded_expanding_region_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "HypothesisError"
+    assert not (out / "certificate.json").exists()
+
+
+def test_certify_halfspace_normal_of_wrong_length_exits_2(tmp_path, capsys):
+    system = {
+        "type": "slds",
+        "regions": [
+            {
+                "predicate": {"halfspaces": [{"normal": [1.0, 0.0, 0.0], "offset": 0.5}]},
+                "A": [[1.0, 0.0], [0.0, 1.0]],
+            },
+            {"predicate": {"catch_all": True}, "A": [[0.5, 0.0], [0.0, 0.5]]},
+        ],
+    }
+    path = write_config(
+        tmp_path, {"pipeline": "certify", "system": system, "seed": 1, "params": SLDS_PARAMS}
+    )
+    out = tmp_path / "out"
+    assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "halfspace normal" in error["message"]
     assert not (out / "certificate.json").exists()
 
 

@@ -326,6 +326,27 @@ def test_system_from_dict_rejects_unknown_type():
         system_from_dict({"type": "ctmc"})
 
 
+def test_slds_rejects_halfspace_normal_of_wrong_length():
+    with pytest.raises(ValueError, match="length 3, but the system has dimension 2"):
+        SystemSpec.slds(
+            [
+                (Predicate(halfspaces=(((1.0, 0.0, 0.0), 0.5),)), np.eye(2)),
+                (Predicate(catch_all=True), 0.5 * np.eye(2)),
+            ]
+        )
+    with pytest.raises(ValueError, match="length 1"):
+        system_from_dict(
+            {
+                "type": "slds",
+                "regions": [
+                    {"predicate": {"halfspaces": [{"normal": [1.0], "offset": 0.0}]},
+                     "A": [[0.5, 0.0], [0.0, 0.5]]},
+                    {"predicate": {"catch_all": True}, "A": [[0.5, 0.0], [0.0, 0.5]]},
+                ],
+            }
+        )
+
+
 def test_trajectory_csv_layout(tmp_path):
     spec = SystemSpec.lds(np.eye(2) * 0.5)
     traj = simulate(spec, [1.0, -1.0], 3, seed=9)

@@ -36,13 +36,12 @@ CONFIGS = {
                 "n_samples": 40,
                 "replications": 200,
                 "epsilons": [0.3, 0.6],
-                "bias_samples": 128,
                 "bias_burn_in": 50,
                 "target_samples": 2000,
             },
         },
         0,
-        "862bbdbe647f2e41b62ae46291343f8e99d3b04896609d14a9ad7ca4d600260e",
+        "f509bc986d873950789da8bdf87469543632e838e20c5a7e58ca2f97f4b20af4",
     ),
     "iid-slds": (
         {

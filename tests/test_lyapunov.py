@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from concentrix import lyapunov
 from concentrix.dynamics import HypothesisError, Predicate, SystemSpec, _apply_matrices
 from concentrix.lyapunov import (
     DivergentMGFError,
@@ -412,11 +413,15 @@ def _box_switched_system():
         (_box_switched_system(), 3.0, (-6.0, 6.0), 40),
         (SystemSpec.lds(np.zeros((2, 2))), 1.0, (-4.0, 4.0), 40),
         (SystemSpec.lds([[1.0, 0.0], [0.0, 0.0]]), 1.0, (-4.0, 4.0), 40),
+        (SystemSpec.lds([[1.0, 0.0], [0.0, 0.0]]), 1.0, (-6.0, 6.0), 80),
+        (SystemSpec.lds([[0.6, 0.3], [0.2, 0.1]]), 1.5, (-4.0, 4.0), 40),
+        (SystemSpec.lds([[0.0, 0.7], [0.0, -0.35]]), 1.0, [[-4.0, 4.0], [-6.0, 5.0]], 40),
         (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 0.0, (-4.0, 4.0), 40),
         (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 1.0, [[-4.0, 4.0], [-6.0, 5.0]], 40),
     ],
     ids=["lds-1d", "lds-2d", "slds-box", "slds-box-r3", "zero", "rank-one",
-         "radius-0", "per-axis-box"],
+         "rank-one-r80", "rank-one-oblique", "rank-one-per-axis", "radius-0",
+         "per-axis-box"],
 )
 def test_minorization_hull_band_is_bit_identical(spec, radius, truncation, resolution):
     est = minorization_beta(spec, radius, truncation, resolution=resolution)
@@ -434,6 +439,28 @@ def test_minorization_memory_scales_with_the_hull_band():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_hull_band_of_collinear_points_keeps_the_two_ends(monkeypatch):
+    # a rank-one map sends the disc onto a segment, which Qhull cannot
+    # triangulate; only the points near the segment's ends can be farthest
+    axis = np.linspace(-1.0, 1.0, 80)
+    xs = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    xs = xs[np.linalg.norm(xs, axis=1) <= 1.0]
+    box = np.array([[-6.0, 6.0], [-6.0, 6.0]])
+    mus = _apply_matrices(SystemSpec.lds([[0.6, 0.3], [0.2, 0.1]]), xs)
+    kept = lyapunov._hull_band(mus, box)
+    assert len(kept) < 20
+    along = mus @ np.array([3.0, 1.0])
+    for end in (along.argmin(), along.argmax()):
+        assert (kept == mus[end]).all(axis=1).any()
+    # points off one line are all kept when Qhull raises for another reason
+    def no_hull(points):
+        raise lyapunov.QhullError("forced")
+
+    monkeypatch.setattr(lyapunov, "ConvexHull", no_hull)
+    full_rank = _apply_matrices(SystemSpec.lds([[0.5, 0.1], [-0.1, 0.5]]), xs)
+    assert len(lyapunov._hull_band(full_rank, box)) == len(full_rank)
 
 
 # ---------------------------------------------------------------- harris metric

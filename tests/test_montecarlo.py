@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import norm
 
 from concentrix import dynamics
@@ -235,7 +236,6 @@ def test_deviation_single_step_matches_gaussian_tail():
         seed=6,
         target_mean=0.0,
         target_provenance="symmetry_closed_form",
-        bias_samples=256,
         bias_burn_in=50,
     )
     for i, eps in enumerate(eps_grid):
@@ -251,24 +251,23 @@ def test_deviation_huge_epsilon_never_exceeded():
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
         spec, "norm", [0.0], 20, [50.0], 150, seed=7,
-        bias_samples=128, bias_burn_in=50, target_samples=2_000,
+        bias_burn_in=50, target_samples=2_000,
     )
     assert report.counts == (0,)
     assert report.frequencies == (0.0,)
     assert report.passes == (True,)
 
 
-def test_deviation_serial_parallel_bit_identical():
+def test_deviation_rerun_bit_identical():
     spec = SystemSpec.lds([[0.5]])
     kwargs = dict(
         reward="norm", x0=[1.0], n_samples=40, epsilons=[0.2, 0.6],
-        replications=300, seed=8, bias_samples=128, bias_burn_in=50,
-        target_samples=2_000,
+        replications=300, seed=8, bias_burn_in=50, target_samples=2_000,
     )
-    serial = deviation_probability_experiment(spec, **kwargs)
-    parallel = deviation_probability_experiment(spec, **kwargs)
-    assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-        parallel.to_dict(), sort_keys=True
+    first = deviation_probability_experiment(spec, **kwargs)
+    second = deviation_probability_experiment(spec, **kwargs)
+    assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
+        second.to_dict(), sort_keys=True
     )
 
 
@@ -276,16 +275,63 @@ def test_deviation_report_fields_consistent():
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
         spec, "norm", [0.0], 30, [0.3], 200, seed=9,
-        bias_samples=128, bias_burn_in=50, target_samples=2_000,
+        bias_burn_in=50, target_samples=2_000,
     )
     assert 0.0 <= report.frequencies[0] <= 1.0
     assert report.ci_low[0] <= report.frequencies[0] <= report.ci_high[0]
     # pass flag is derivable from the stored fields
     rederived = report.ci_high[0] <= report.bounds[0] or report.counts[0] == 0
     assert report.passes[0] == rederived
-    assert report.target_provenance == "monte_carlo_burn_in"
+    # the 1-D norm reward has an exact stationary mean, so nothing is estimated
+    assert report.target_provenance == "half_normal_closed_form"
+    assert report.target_mean == pytest.approx(math.sqrt(8.0 / (3.0 * math.pi)), abs=1e-12)
+    assert "target_stderr" not in report.details
+    assert "target_samples" not in report.details
     assert report.bias >= 0.0
     assert report.details["system_digest"]
+
+
+def test_deviation_monte_carlo_target_in_3d():
+    # no closed form for E||X|| in three dimensions: the target is simulated
+    spec = SystemSpec.lds(np.diag([0.5, 0.3, -0.4]))
+    report = deviation_probability_experiment(
+        spec, "norm", [0.0, 0.0, 0.0], 30, [0.3], 200, seed=9,
+        bias_burn_in=50, target_samples=2_000,
+    )
+    assert report.target_provenance == "monte_carlo_burn_in"
+    assert report.details["target_samples"] == 2_000
+    assert report.details["target_stderr"] > 0.0
+    exact = stationary_mean_reward(spec, "norm", precision=5e-3, seed=30).value
+    assert abs(report.target_mean - exact) < 5.0 * report.details["target_stderr"] + 5e-3
+
+
+def test_deviation_bias_bounds_exact_w1():
+    # from x0 = 0 on A = 0.5 the one-step law is N(0, 1) and the stationary
+    # law N(0, 4/3); their W1 is (sqrt(4/3) - 1) sqrt(2/pi) and W2 is
+    # sqrt(4/3) - 1, so the shift must not use less than W1
+    spec = SystemSpec.lds([[0.5]])
+    report = deviation_probability_experiment(
+        spec, "norm", [0.0], 10, [0.5], 100, seed=1
+    )
+    exact_w1 = (math.sqrt(4.0 / 3.0) - 1.0) * math.sqrt(2.0 / math.pi)
+    assert report.details["bias_w2"] >= exact_w1
+    assert report.details["bias_w2"] == pytest.approx(math.sqrt(4.0 / 3.0) - 1.0, abs=1e-12)
+    assert report.bias == pytest.approx(report.details["bias_w2"] / (10 * 0.5), rel=1e-15)
+
+
+def test_deviation_bias_scales_with_lipschitz():
+    spec = SystemSpec.lds([[0.5]])
+    kwargs = dict(
+        x0=[100.0], n_samples=20, epsilons=[0.5], replications=100, seed=2,
+        target_mean=0.0, target_provenance="symmetry_closed_form",
+    )
+    coordinate = deviation_probability_experiment(spec, "coordinate", **kwargs)
+    scaled = deviation_probability_experiment(
+        spec, (lambda p: 5 * p[..., 0], 5.0), **kwargs
+    )
+    assert scaled.details["lipschitz"] == 5.0
+    assert scaled.bias == 5.0 * coordinate.bias
+    assert coordinate.bias > 0.0
 
 
 def test_deviation_validation():
@@ -314,7 +360,7 @@ def test_deviation_csv_layout(tmp_path):
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
         spec, "norm", [0.0], 20, [0.4, 0.8], 150, seed=10,
-        bias_samples=128, bias_burn_in=50, target_samples=2_000,
+        bias_burn_in=50, target_samples=2_000,
     )
     path = tmp_path / "rows.csv"
     report.to_csv(path)
@@ -531,18 +577,62 @@ def test_stationary_mean_coordinate_is_zero():
     assert est.method == "symmetry_closed_form"
 
 
-def test_stationary_mean_monte_carlo_2d_norm():
-    # E||Z|| for Z ~ N(0, I_2) is sqrt(pi/2)
-    est = stationary_mean_reward(np.eye(2), "norm", precision=5e-3, seed=27)
+def test_stationary_mean_monte_carlo_3d_norm():
+    # E||Z|| for Z ~ N(0, I_3) is 2 sqrt(2/pi); three dimensions have no
+    # closed form here, so this exercises the Monte Carlo path
+    est = stationary_mean_reward(np.eye(3), "norm", precision=5e-3, seed=27)
     assert est.method == "gaussian_monte_carlo"
-    assert est.value == pytest.approx(math.sqrt(math.pi / 2.0), abs=5e-3)
+    assert est.value == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=5e-3)
 
 
 def test_stationary_mean_precision_error():
     with pytest.raises(PrecisionError):
         stationary_mean_reward(
-            np.eye(2), "norm", precision=1e-9, seed=28, sample_budget=10_000
+            np.eye(3), "norm", precision=1e-9, seed=28, sample_budget=10_000
         )
+
+
+def _norm_mean_by_quadrature(sigma):
+    # E||X|| = sqrt(pi/2) * mean over directions u of sqrt(u' sigma u)
+    def radial(theta):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        return math.sqrt(u @ sigma @ u)
+
+    integral, _ = quad(radial, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return math.sqrt(math.pi / 2.0) * integral / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        np.eye(2),
+        np.diag([4.0, 0.25]),
+        np.array([[2.0, 0.9], [0.9, 1.0]]),
+        np.diag([1.0, 0.0]),
+        SystemSpec.lds([[0.5, 0.1], [-0.1, 0.5]]),
+        SystemSpec.lds([[0.8, 0.3], [-0.2, 0.6]]),
+    ],
+    ids=["isotropic", "diagonal", "correlated", "rank-one", "catch-all", "non-normal"],
+)
+def test_stationary_mean_2d_norm_closed_form(target):
+    est = stationary_mean_reward(target, "norm")
+    assert est.method == "elliptic_closed_form"
+    assert est.ci_halfwidth == 0.0
+    sigma = lds_stationary_covariance(target) if isinstance(target, SystemSpec) else target
+    assert est.value == pytest.approx(_norm_mean_by_quadrature(sigma), rel=1e-12)
+
+
+def test_stationary_mean_2d_norm_isotropic_and_degenerate():
+    assert stationary_mean_reward(np.eye(2), "norm").value == pytest.approx(
+        math.sqrt(math.pi / 2.0), rel=1e-15
+    )
+    # a rank-one covariance is the half-normal along its one direction
+    assert stationary_mean_reward(np.diag([0.0, 9.0]), "norm").value == pytest.approx(
+        3.0 * math.sqrt(2.0 / math.pi), rel=1e-15
+    )
+    assert stationary_mean_reward(np.zeros((2, 2)), "norm").value == 0.0
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        stationary_mean_reward(np.diag([1.0, -1.0]), "norm")
 
 
 def test_stationary_mean_from_sample_batch():
