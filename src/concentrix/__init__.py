@@ -9,6 +9,9 @@ them empirically.  The ``cli`` module wraps the pipelines behind a
 declarative JSON config.
 """
 
+# set before the submodule imports: ``montecarlo`` stamps it into reports
+__version__ = "0.2.0"
+
 from .dynamics import (
     HypothesisError,
     Predicate,
@@ -67,8 +70,6 @@ from .transport import (
     tensorized_constant,
     trajectory_deviation_bound,
 )
-
-__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import metadata
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.special import ellipe
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ellipe
 
+from . import __version__
 from .dynamics import (
     SystemSpec,
+    _check_vector,
     _endpoint_chunk,
     _write_csv,
     derive_seed,
@@ -78,10 +78,7 @@ _STREAM_DIAGNOSTIC = 5
 
 
 def _code_version() -> str:
-    try:
-        return metadata.version("concentrix")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        return "unknown"
+    return __version__
 
 
 def _resolve_reward(reward):
@@ -101,18 +98,22 @@ def _resolve_reward(reward):
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.99):
-    """Two-sided exact binomial confidence interval for a frequency."""
+    """Two-sided exact binomial confidence interval for a frequency.
+
+    Each bound is a quantile of a beta law, taken from the inverse
+    regularized incomplete beta function ``scipy.special.betaincinv``.
+    """
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     tail = (1.0 - level) / 2.0
     if successes == 0:
         low = 0.0
     else:
-        low = float(beta_dist.ppf(tail, successes, trials - successes + 1))
+        low = float(betaincinv(successes, trials - successes + 1, tail))
     if successes == trials:
         high = 1.0
     else:
-        high = float(beta_dist.ppf(1.0 - tail, successes + 1, trials - successes))
+        high = float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return low, high
 
 
@@ -427,6 +428,9 @@ def deviation_probability_experiment(
             "trajectory deviation bounds need a per-step transport certificate; "
             "only linear systems are supported here"
         )
+    x0v = _check_vector(x0, spec.dim, "x0")
+    if not np.isfinite(x0v).all():
+        raise ValueError("x0 must be finite")
     reward = _resolve_reward(reward)
     reward_fn, lipschitz, tag = reward
     t1, contraction = lds_certificate(spec)
@@ -437,9 +441,12 @@ def deviation_probability_experiment(
         if exact is not None:
             target_mean, target_provenance = exact
 
-    x0v = np.asarray(x0, dtype=float).reshape(-1)
     n = spec.dim
-    w2_start = gaussian_w2(spec.matrices[0] @ x0v, np.eye(n), np.zeros(n), sigma)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        w2_start = gaussian_w2(spec.matrices[0] @ x0v, np.eye(n), np.zeros(n), sigma)
+    bias = lipschitz * bias_term(w2_start, n_samples, rate)
+    if not math.isfinite(bias):
+        raise ValueError("x0 lies so far out that its start-point bias overflows a float")
 
     def average(seeds):
         states = simulate_batch(spec, x0v, n_samples, seeds)
@@ -450,7 +457,7 @@ def deviation_probability_experiment(
         rate=rate,
         n_samples=n_samples,
         lipschitz=lipschitz,
-        bias=lipschitz * bias_term(w2_start, n_samples, rate),
+        bias=bias,
     )
     return _deviation_report(
         spec, reward, average, cert, epsilons, replications, seed,

@@ -228,6 +228,38 @@ def test_certify_missing_seed_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("seed, flag", [(True, False), (2**64, False), (2**64, True)])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, seed, flag):
+    # true would run as seed 1 and 2**64 would draw what seed 0 draws, each
+    # under a config hash of its own
+    body = {"pipeline": "verify-deviation", "system": LDS_HALF, "params": SMALL_DEVIATION_PARAMS}
+    path = write_config(tmp_path, body if flag else {**body, "seed": seed})
+    out = tmp_path / "out"
+    argv = ["verify", "--config", path, "--out", str(out)]
+    assert main(argv + (["--seed", str(seed)] if flag else [])) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": "seed must be an integer in [0, 2**64)"}
+    assert not (out / "report.json").exists()
+
+
+def test_largest_u64_seed_is_accepted(tmp_path):
+    seed = 2**64 - 1
+    path = write_config(
+        tmp_path,
+        {
+            "pipeline": "verify-deviation",
+            "system": LDS_HALF,
+            "seed": seed,
+            "params": SMALL_DEVIATION_PARAMS,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["config"]["seed"] == seed
+    validate_against("experiment-config.schema.json", payload["config"])
+
+
 def test_certify_writes_enveloped_json(tmp_path):
     path = write_config(
         tmp_path,
@@ -343,6 +375,23 @@ def test_verify_one_sample_target_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
     with pytest.raises(ValueError):
         canonical_json({"value": math.nan})
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [math.nan], [1e200]])
+def test_verify_bad_x0_exits_2(tmp_path, capsys, x0):
+    # x0 is checked before any simulation: a NaN or an overflowing start
+    # would otherwise only fail when the finished report is encoded
+    params = {**SMALL_DEVIATION_PARAMS, "x0": x0}
+    path = write_config(
+        tmp_path,
+        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("x0")
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -686,6 +735,11 @@ def test_schema_accepts_valid_documents(tmp_path):
 def test_schema_rejects_invalid_documents():
     with pytest.raises(jsonschema.ValidationError):
         validate_against("system.schema.json", {"type": "lds"})
+    for seed in (True, -1, 2**64):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_against(
+                "experiment-config.schema.json", {"pipeline": "certify", "seed": seed}
+            )
     with pytest.raises(jsonschema.ValidationError):
         validate_against(
             "experiment-config.schema.json", {"pipeline": "meditate", "seed": 1}

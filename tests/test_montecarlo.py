@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import beta, norm
 
 from concentrix import dynamics
 from concentrix.dynamics import (
@@ -667,3 +667,20 @@ def test_clopper_pearson_validation():
         clopper_pearson(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson(-1, 4)
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.999])
+def test_clopper_pearson_matches_beta_ppf_bitwise(level):
+    # the beta quantiles come from betaincinv; they must be the very floats
+    # scipy.stats.beta.ppf gives, so reports keep their bytes
+    pairs = [(k, m) for m in range(1, 301) for k in range(m + 1)]
+    pairs += [(k, 5000) for k in (0, 1, 2500, 4999, 5000)]
+    k = np.array([p[0] for p in pairs])
+    m = np.array([p[1] for p in pairs])
+    tail = (1.0 - level) / 2.0
+    with np.errstate(all="ignore"):
+        low = np.where(k == 0, 0.0, beta.ppf(tail, k, m - k + 1))
+        high = np.where(k == m, 1.0, beta.ppf(1.0 - tail, k + 1, m - k))
+    got = np.array([clopper_pearson(int(a), int(b), level) for a, b in pairs])
+    assert (got[:, 0] == low).all()
+    assert (got[:, 1] == high).all()
