@@ -143,6 +143,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("a master seed is mandatory (config seed or --seed)")
+    # JSON Schema counts 1.0 as an integer, so a whole float is that integer
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
     # a bool is an int to Python, and derive_seeds would fold 2**64 onto 0
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an integer in [0, 2**64)")

@@ -5,9 +5,15 @@ switched linear system ``x' = A_j x + xi`` where ``j`` is the index of the
 first region predicate that matches ``x``.  The noise ``xi`` is always
 N(0, I_n); simulation is bit-reproducible from a seed in [0, 2**64).  A
 trajectory's noise is exactly what ``Generator(PCG64(seed))`` draws, but
-the generator states of a whole batch are computed at once in numpy and
-loaded into one reused generator, because building one PCG64 per seed costs
-more than its draws.
+the generator states of a whole batch are computed at once in numpy (the
+128-bit seeding step on pairs of uint64 limbs) and loaded into one reused
+generator, because building one PCG64 per seed costs more than its draws.
+
+A batch advances one step at a time.  Each region's matrix multiplies the
+whole batch, and a row keeps the product of the first region that matches
+it; there are no per-region gathers.  Membership sums squares and halfspace
+products along each row from left to right, so ``step``, ``region_index``
+and a batch put a point in the same region.
 """
 
 from __future__ import annotations
@@ -117,13 +123,13 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
-# multiplier; _pcg64_states reproduces PCG64(seed) from them
+# multiplier as two 64-bit limbs; _pcg64_states reproduces PCG64(seed) from them
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = (1 << 32) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_U64_32, _U64_1, _U64_LOW32 = np.uint64(32), np.uint64(1), np.uint64(_MASK32)
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -136,14 +142,24 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
+def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
+    a0, a1 = a & _U64_LOW32, a >> _U64_32
+    b0, b1 = b & _U64_LOW32, b >> _U64_32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U64_32) + (cross0 & _U64_LOW32) + (cross1 & _U64_LOW32)
+    return a1 * b1 + (cross0 >> _U64_32) + (cross1 >> _U64_32) + (mid >> _U64_32)
+
+
 def _pcg64_states(seeds: np.ndarray):
     """Yield (state, inc) of ``np.random.PCG64(seed)`` for each uint64 seed.
 
     A seed below 2**64 enters ``SeedSequence`` as the two 32-bit words
     ``[lo, hi]``: shorter entropy is padded with ``hashmix(0)``, which is
     what a zero word gives.  The pool mixing and ``generate_state(4,
-    uint64)`` run here on whole uint32 arrays; PCG64 then seeds with
-    ``pcg_setseq_128_srandom_r``.
+    uint64)`` run here on whole uint32 arrays.  PCG64 then seeds with
+    ``pcg_setseq_128_srandom_r``, whose 128-bit step runs on (high, low)
+    uint64 limbs; only the results become Python integers.
     """
     hash_const = _INIT_A
 
@@ -154,8 +170,8 @@ def _pcg64_states(seeds: np.ndarray):
         value = value * np.uint32(hash_const)
         return value ^ (value >> np.uint32(16))
 
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    low = (seeds & _U64_LOW32).astype(np.uint32)
+    high = (seeds >> _U64_32).astype(np.uint32)
     zero = np.zeros_like(low)
     pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
     for src in range(4):
@@ -171,13 +187,24 @@ def _pcg64_states(seeds: np.ndarray):
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const)
         words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    # little-endian pairs of 32-bit words: seed[0], seed[1], inc[0], inc[1]
-    halves = [
-        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
-    ]
-    for s0, s1, i0, i1 in zip(*halves):
-        inc = ((((i0 << 64) | i1) << 1) | 1) & _MASK128
-        yield ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc
+    # little-endian pairs of 32-bit words: seed[0], seed[1], inc[0], inc[1];
+    # the 128-bit seed is seed[0] << 64 | seed[1], and inc is (initseq << 1) | 1
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        words[2 * k] | (words[2 * k + 1] << _U64_32) for k in range(4)
+    )
+    inc_hi = (seq_hi << _U64_1) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << _U64_1) | _U64_1
+    # state = (inc + seed) * multiplier + inc  (mod 2**128)
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
+    state_hi = (
+        _mul_hi64(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
+    )
+    state_lo = sum_lo * _PCG_MULT_LO + inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)
+    limbs = (state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for s_hi, s_lo, i_hi, i_lo in zip(*limbs):
+        yield (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
 
 
 def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
@@ -214,6 +241,19 @@ def spectral_norm(a) -> float:
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum each row of an (m, n) array from left to right.
+
+    The rounding is the same for every row count and position, unlike a
+    BLAS product or a pairwise reduction.  Up to n = 7 the squares' sums
+    equal ``np.linalg.norm(pts, axis=1) ** 2`` before the root, bit for bit.
+    """
+    total = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    return total
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Region membership test: a conjunction of optional constraints.
@@ -247,34 +287,31 @@ class Predicate:
         object.__setattr__(self, "halfspaces", tuple(hs))
 
     def matches(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.catch_all:
-            return True
-        nrm = float(np.linalg.norm(x))
-        if self.ball_le is not None and nrm > self.ball_le:
-            return False
-        if self.ball_gt is not None and nrm <= self.ball_gt:
-            return False
-        for normal, offset in self.halfspaces:
-            if float(np.dot(normal, x)) > offset:
-                return False
-        return True
+        """Membership of one point: :meth:`matches_batch` on a single row."""
+        return bool(self.matches_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def matches_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership over an (m, n) array of points."""
+        """Vectorized membership over an (m, n) array of points.
+
+        Norms and halfspace products are row sums taken left to right
+        (:func:`_row_sums`), so a point gets the same answer alone as in
+        any batch.
+        """
         pts = np.asarray(pts, dtype=float)
-        m = pts.shape[0]
         if self.catch_all:
-            return np.ones(m, dtype=bool)
-        ok = np.ones(m, dtype=bool)
+            return np.ones(pts.shape[0], dtype=bool)
+        tests = []
         if self.ball_le is not None or self.ball_gt is not None:
-            nrm = np.linalg.norm(pts, axis=1)
+            nrm = np.sqrt(_row_sums(pts * pts))
             if self.ball_le is not None:
-                ok &= nrm <= self.ball_le
+                tests.append(nrm <= self.ball_le)
             if self.ball_gt is not None:
-                ok &= nrm > self.ball_gt
+                tests.append(nrm > self.ball_gt)
         for normal, offset in self.halfspaces:
-            ok &= pts @ np.asarray(normal) <= offset
+            tests.append(_row_sums(pts * np.asarray(normal)) <= offset)
+        ok = tests[0]
+        for test in tests[1:]:
+            ok &= test
         return ok
 
     def to_dict(self) -> dict:
@@ -448,28 +485,66 @@ def step(spec: SystemSpec, x, noise) -> np.ndarray:
 
 
 def _apply_matrices(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
-    """Apply the region-appropriate matrix to each row of ``pts``."""
+    """Apply the region-appropriate matrix to each row of ``pts``.
+
+    Each matrix multiplies the whole batch, and a row keeps the product of
+    the first region that matches it.  numpy multiplies a lone row with a
+    matrix-vector routine that rounds differently from the batch product,
+    so a region that holds exactly one row takes that row's product alone,
+    as a gathered one-row product would; seeded outputs rely on those bits.
+    """
     if spec.kind == "lds":
         return pts @ spec.matrices[0].T
-    out = np.empty_like(pts)
-    remaining = np.ones(pts.shape[0], dtype=bool)
-    for pred, mat in zip(spec.regions.predicates, spec.matrices):
-        mask = remaining & pred.matches_batch(pts)
-        if mask.any():
-            out[mask] = pts[mask] @ mat.T
-            remaining &= ~mask
-            if not remaining.any():
-                break
+    out = pts @ spec.matrices[-1].T
+    free = np.ones(pts.shape[0], dtype=bool)  # rows no earlier region matched
+    for pred, mat in zip(spec.regions.predicates[:-1], spec.matrices[:-1]):
+        mask = pred.matches_batch(pts)
+        mask &= free
+        # whole rows as single items: a row mask needs no broadcasting
+        np.copyto(_as_rows(out), _as_rows(pts @ mat.T), where=mask[:, None])
+        free ^= mask
+        _lone_row_product(out, pts, mask, mat)
+    _lone_row_product(out, pts, free, spec.matrices[-1])
     return out
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """An (m, n) C-contiguous float array as (m, 1) items of n * 8 raw bytes."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
+
+
+def _lone_row_product(out: np.ndarray, pts: np.ndarray, mask: np.ndarray, mat) -> None:
+    """Redo ``out[mask] = pts[mask] @ mat.T`` when ``mask`` selects one row."""
+    if np.count_nonzero(mask) == 1:
+        out[mask] = pts[mask] @ mat.T
+
+
+def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray, states=None):
+    """Final states of the paths from ``x0v`` driven by (m, n_steps, dim) noise.
+
+    When ``states`` (m, n_steps + 1, dim) is given, step k's states are
+    also written to ``states[:, k]``.
+    """
+    cur = np.tile(x0v, (noise.shape[0], 1))
+    if states is not None:
+        states[:, 0] = cur
+    for k in range(noise.shape[1]):
+        cur = _apply_matrices(spec, cur)
+        cur += noise[:, k]
+        if states is not None:
+            states[:, k + 1] = cur
+    return cur
 
 
 def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     """Simulate one trajectory per seed, all from the same start.
 
     Each trajectory's noise is bit-identical to the draws of
-    ``np.random.Generator(np.random.PCG64(seed))``, so the result is
-    independent of batch composition: simulating a seed alone or inside any
-    batch yields the same states.  Every seed must lie in [0, 2**64).
+    ``np.random.Generator(np.random.PCG64(seed))`` in any batch.  Its states
+    are too in one dimension; from two dimensions on, a trajectory that is
+    alone in a batch or in its region is multiplied by numpy's lone-row
+    routine, whose last bits can differ from the batch product.  Every seed
+    must lie in [0, 2**64).
 
     Returns
     -------
@@ -479,13 +554,8 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
         raise ValueError("n_steps must be nonnegative")
     x0v = _check_vector(x0, spec.dim, "x0")
     seeds = _seed_array(seeds)
-    noise = _standard_normals(seeds, n_steps, spec.dim)
     states = np.empty((len(seeds), n_steps + 1, spec.dim))
-    cur = np.tile(x0v, (len(seeds), 1))
-    states[:, 0] = cur
-    for k in range(n_steps):
-        cur = _apply_matrices(spec, cur) + noise[:, k]
-        states[:, k + 1] = cur
+    _run_steps(spec, x0v, _standard_normals(seeds, n_steps, spec.dim), states)
     return states
 
 
@@ -518,10 +588,7 @@ def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     chunk = _endpoint_chunk(n_steps, spec.dim)
     for lo in range(0, len(seeds), chunk):
         noise = _standard_normals(seeds[lo : lo + chunk], n_steps, spec.dim)
-        cur = np.tile(x0v, (noise.shape[0], 1))
-        for k in range(n_steps):
-            cur = _apply_matrices(spec, cur) + noise[:, k]
-        out[lo : lo + chunk] = cur
+        out[lo : lo + chunk] = _run_steps(spec, x0v, noise)
         del noise  # free this chunk's noise before the next one is drawn
     return out
 
@@ -583,16 +650,20 @@ _LP_TOL = 1e-7
 def _region_contained_in_ball(pred: Predicate, radius: float, dim: int) -> bool:
     """Whether every point matching ``pred`` lies in the closed ``radius`` ball.
 
-    A ``ball_le`` bound settles it.  Otherwise each coordinate is maximised
-    and minimised over the halfspaces with ``linprog``: an unbounded program
-    means an unbounded region and infeasible ones an empty region; else the
-    region lies in the box of the per-coordinate caps, padded by the solver
-    tolerance, and is contained when the box's corner is.  Dropping
-    ``ball_gt`` and the earlier regions only enlarges the region, so the
-    answer can be a false "no" but never a false "yes".
+    A ``ball_le`` bound within the radius settles it.  Otherwise each
+    coordinate is maximised and minimised over the halfspaces with
+    ``linprog``: an unbounded program means an unbounded region and
+    infeasible ones an empty region; else the region lies in the box of the
+    per-coordinate caps, padded by the solver tolerance, and is contained
+    when the box's corner is.  Without halfspaces the answer is "no".
+    Dropping a larger ``ball_le``, ``ball_gt`` and the earlier regions only
+    enlarges the region, so the answer can be a false "no" but never a
+    false "yes".
     """
-    if pred.ball_le is not None:
-        return pred.ball_le <= radius
+    if pred.ball_le is not None and pred.ball_le <= radius:
+        return True
+    if not pred.halfspaces:
+        return False
     normals = np.array([normal for normal, _ in pred.halfspaces]).reshape(-1, dim)
     offsets = np.array([offset for _, offset in pred.halfspaces])
     caps = np.zeros(dim)

@@ -260,6 +260,35 @@ def test_largest_u64_seed_is_accepted(tmp_path):
     validate_against("experiment-config.schema.json", payload["config"])
 
 
+def test_whole_float_seed_runs_as_its_integer(tmp_path):
+    # JSON Schema counts 1.0 as an integer, so this config is schema-valid
+    reports = []
+    for seed in (1, 1.0):
+        body = {
+            "pipeline": "verify-deviation",
+            "system": LDS_HALF,
+            "seed": seed,
+            "params": SMALL_DEVIATION_PARAMS,
+        }
+        validate_against("experiment-config.schema.json", body)
+        path = write_config(tmp_path, body, name=f"config-{seed!r}.json")
+        out = tmp_path / f"out-{seed!r}"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("seed", [1.5, -1.0, 2.0**64])
+def test_float_seed_that_is_no_u64_exits_2(tmp_path, capsys, seed):
+    body = {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": seed,
+            "params": SMALL_DEVIATION_PARAMS}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": "seed must be an integer in [0, 2**64)"}
+    assert not (out / "report.json").exists()
+
+
 def test_certify_writes_enveloped_json(tmp_path):
     path = write_config(
         tmp_path,

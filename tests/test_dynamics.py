@@ -150,6 +150,137 @@ def test_region_index_total_and_matches_scalar_scan():
         assert region_index(regions, pts[i]) == assigned[i]
 
 
+# the scalar and batch routes once disagreed here: np.linalg.norm of the
+# vector gave 1.0, the per-row sum 1.0000000000000002
+NEAR_UNIT_CIRCLE = [0.6005746195892662, 0.799568712685288]
+
+
+def test_region_index_matches_batch_dispatch_at_a_rounding_boundary():
+    spec = ball_then_catchall(np.eye(2), 0.5 * np.eye(2))
+    pred = spec.regions.predicates[0]
+    x = np.array(NEAR_UNIT_CIRCLE)
+    assert not pred.matches(x)
+    assert not pred.matches_batch(x[None])[0]
+    assert region_index(spec.regions, x) == 1
+    assert spec.matrix_for(x) is spec.matrices[1]
+    batch_step = dynamics._apply_matrices(spec, x[None])[0]
+    assert np.array_equal(step(spec, x, [0.0, 0.0]), batch_step)
+    assert np.array_equal(batch_step, 0.5 * x)
+
+
+def _ulp_neighbours(points, rng):
+    """Each point times (1 + k ulp) for a random k in [-2, 2]."""
+    k = rng.integers(-2, 3, size=(len(points), 1))
+    return points + k * np.spacing(points)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_scalar_and_batch_membership_agree_within_an_ulp_of_a_boundary(dim):
+    rng = np.random.default_rng(dim)
+    directions = rng.normal(size=(400, dim))
+    radius = 1.3
+    on_sphere = radius * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    normal = rng.normal(size=dim)
+    offset = 0.7
+    # project random points onto the hyperplane normal . x = offset
+    raw = rng.normal(size=(400, dim))
+    on_plane = raw + np.outer((offset - raw @ normal) / (normal @ normal), normal)
+    near_sphere, near_plane = _ulp_neighbours(on_sphere, rng), _ulp_neighbours(on_plane, rng)
+    pts = np.concatenate([near_sphere, near_plane])
+    regions = RegionSpec(
+        (
+            Predicate(ball_le=radius),
+            Predicate(halfspaces=((tuple(normal), offset),)),
+            Predicate(ball_gt=radius),
+            Predicate(catch_all=True),
+        )
+    )
+    for pred in regions.predicates:
+        batch = pred.matches_batch(pts)
+        assert [pred.matches(x) for x in pts] == batch.tolist()
+    # both boundaries are crossed, so the test sees both answers
+    assert 0 < regions.predicates[0].matches_batch(near_sphere).sum() < len(near_sphere)
+    assert 0 < regions.predicates[1].matches_batch(near_plane).sum() < len(near_plane)
+    first = np.full(len(pts), len(regions) - 1)
+    for j in range(len(regions) - 2, -1, -1):
+        first[regions.predicates[j].matches_batch(pts)] = j
+    assert [region_index(regions, x) for x in pts] == first.tolist()
+
+
+def _matches_reference(pred, pts):
+    """Predicate.matches_batch as first written: np.linalg.norm per row."""
+    ok = np.ones(pts.shape[0], dtype=bool)
+    if pred.catch_all:
+        return ok
+    if pred.ball_le is not None or pred.ball_gt is not None:
+        nrm = np.linalg.norm(pts, axis=1)
+        if pred.ball_le is not None:
+            ok &= nrm <= pred.ball_le
+        if pred.ball_gt is not None:
+            ok &= nrm > pred.ball_gt
+    for normal, offset in pred.halfspaces:
+        ok &= pts @ np.asarray(normal) <= offset
+    return ok
+
+
+def _apply_matrices_reference(spec, pts):
+    """Region dispatch as first written: gather each region's rows, then scatter."""
+    if spec.kind == "lds":
+        return pts @ spec.matrices[0].T
+    out = np.empty_like(pts)
+    remaining = np.ones(pts.shape[0], dtype=bool)
+    for pred, mat in zip(spec.regions.predicates, spec.matrices):
+        mask = remaining & _matches_reference(pred, pts)
+        if mask.any():
+            out[mask] = pts[mask] @ mat.T
+            remaining &= ~mask
+            if not remaining.any():
+                break
+    return out
+
+
+def _random_predicate(rng, dim):
+    """A ball, a ball complement, halfspaces, or a ball with halfspaces."""
+    radius = float(rng.uniform(0.5, 3.0))
+    halfspaces = tuple(
+        (tuple(rng.normal(size=dim)), float(rng.normal()))
+        for _ in range(rng.integers(1, 3))
+    )
+    return [
+        Predicate(ball_le=radius),
+        Predicate(ball_gt=radius),
+        Predicate(halfspaces=halfspaces),
+        Predicate(ball_le=radius, halfspaces=halfspaces),
+        Predicate(ball_gt=radius, halfspaces=halfspaces),
+        Predicate(ball_le=2.0 * radius, ball_gt=radius),
+    ][rng.integers(6)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_region_dispatch_equals_gather_scatter_reference(dim):
+    rng = np.random.default_rng(100 + dim)
+    matches_none = Predicate(ball_le=0.0, ball_gt=0.0)
+    matches_all = Predicate(ball_le=1e9)
+    for trial in range(60):
+        n_regions = int(rng.integers(2, 5))
+        preds = [_random_predicate(rng, dim) for _ in range(n_regions - 1)]
+        if trial % 5 == 0:
+            preds[rng.integers(len(preds))] = matches_none
+        if trial % 7 == 0:
+            preds[rng.integers(len(preds))] = matches_all
+        mats = [rng.normal(size=(dim, dim)) for _ in range(n_regions)]
+        spec = SystemSpec.slds(list(zip(preds + [Predicate(catch_all=True)], mats)))
+        for m in (1, 2, 7, 64, 1001):
+            pts = rng.normal(scale=float(rng.uniform(0.5, 4.0)), size=(m, dim))
+            expected = _apply_matrices_reference(spec, pts)
+            assert np.array_equal(dynamics._apply_matrices(spec, pts), expected)
+    lds = SystemSpec.lds(rng.normal(size=(dim, dim)))
+    pts = rng.normal(size=(50, dim))
+    assert np.array_equal(
+        dynamics._apply_matrices(lds, pts), _apply_matrices_reference(lds, pts)
+    )
+
+
 # ---------------------------------------------------------------- spectral norm
 
 
@@ -284,6 +415,25 @@ def test_region_containment_is_exact_or_rejects(pred, radius, contained):
     assert dynamics._region_contained_in_ball(pred, radius, 2) is contained
 
 
+BOX_05 = tuple((n, 0.5) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+
+
+def test_ball_bound_above_the_radius_falls_through_to_the_halfspaces():
+    # ball_le 5 only shrinks the box |x_i| <= 0.5, which lies in the unit ball
+    boxed = Predicate(ball_le=5.0, halfspaces=BOX_05)
+    assert dynamics._region_contained_in_ball(boxed, 1.0, 2)
+    spec = SystemSpec.slds([(boxed, np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))])
+    report = check_slds_hypothesis(spec, radius=1.0, contraction=0.6, lipschitz=1.0)
+    assert report.passed
+    assert report.regions[0].classification == "bounded"
+    # with no halfspaces a ball larger than the radius is not contained
+    ball = Predicate(ball_le=5.0)
+    assert not dynamics._region_contained_in_ball(ball, 1.0, 2)
+    spec = SystemSpec.slds([(ball, np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))])
+    report = check_slds_hypothesis(spec, radius=1.0, contraction=0.6, lipschitz=1.0)
+    assert [c.region for c in report.violations] == [0]
+
+
 def test_hypothesis_box_region_bounded():
     spec = SystemSpec.slds(
         [(BOX_07, np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
@@ -409,10 +559,31 @@ def test_derive_seeds_over_an_array_of_masters():
     ]
 
 
+def _pcg64_carries(seed):
+    """Whether PCG64 seeding carries out of the low limb in its two additions.
+
+    The state is ``(inc + s) * mult + inc`` mod 2**128; the first sum and
+    the final ``+ inc`` each carry when their low 64 bits wrap.
+    """
+    mask = (1 << 64) - 1
+    s_hi, s_lo, seq_hi, seq_lo = (
+        int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    )
+    inc_lo = ((seq_lo << 1) | 1) & mask
+    sum_lo = inc_lo + s_lo
+    product_lo = ((sum_lo & mask) * (dynamics._PCG_MULT_LO.item())) & mask
+    return sum_lo > mask, product_lo + inc_lo > mask
+
+
 def test_pcg64_states_match_numpy_seeding():
     edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    seeds = edges + derive_seeds(2024, 0, 200).tolist()
+    seeds = edges + derive_seeds(2024, 0, 10_000).tolist()
+    # every combination of the two low-limb carries is exercised
+    carries = [_pcg64_carries(seed) for seed in seeds]
+    for combination in [(False, False), (False, True), (True, False), (True, True)]:
+        assert carries.count(combination) > 1000
     states = list(dynamics._pcg64_states(np.array(seeds, dtype=np.uint64)))
+    assert len(states) == len(seeds)
     for seed, (state, inc) in zip(seeds, states):
         assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
 

@@ -2,7 +2,7 @@
 
 Every seeded output is meant to be reproducible across releases, and speed
 work on the simulation path must not move a single byte.  These hashes pin
-four pipelines end to end.  A change that alters seeded output on purpose
+four pipelines end to end, the iid pipeline on two switched systems.  A change that alters seeded output on purpose
 (for example a different noise generator) updates the hashes here and says
 so in CHANGES.md.
 """
@@ -18,6 +18,23 @@ SLDS_2D = {
     "type": "slds",
     "regions": [
         {"predicate": {"ball_le": 1.0}, "A": [[1.0, 0.0], [0.0, 1.0]]},
+        {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
+    ],
+}
+# three regions: a box (halfspaces only), the outside of a ball and the rest
+SLDS_3_REGIONS = {
+    "type": "slds",
+    "regions": [
+        {
+            "predicate": {
+                "halfspaces": [
+                    {"normal": normal, "offset": 0.5}
+                    for normal in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])
+                ]
+            },
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+        },
+        {"predicate": {"ball_gt": 2.0}, "A": [[0.4, 0.2], [-0.2, 0.4]]},
         {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
     ],
 }
@@ -63,6 +80,26 @@ CONFIGS = {
         },
         0,
         "32691d7885ccf19fea6c348a58c2cfcdd9c1ae6ac9f6a8a7094d330c4bbea4ab",
+    ),
+    "iid-slds-3-regions": (
+        {
+            "pipeline": "verify-deviation",
+            "system": SLDS_3_REGIONS,
+            "seed": 13,
+            "params": {
+                "mode": "iid",
+                "reward": "norm",
+                "n_samples": 30,
+                "replications": 300,
+                "burn_in": 20,
+                "epsilons": [0.1, 0.3],
+                "target_samples": 3000,
+                "alpha": 0.25,
+                **HYPOTHESIS,
+            },
+        },
+        0,
+        "23008c523e247cc179a2ce9b303534466f58ab8c8601c61bd3ef54262bfa735c",
     ),
     "contraction": (
         {
