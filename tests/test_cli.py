@@ -488,6 +488,25 @@ def test_verify_contraction_no_signal_exits_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "NoSignalError"
 
 
+def test_verify_contraction_zero_per_step_exits_2(tmp_path, capsys):
+    # per_step 0 used to run W1 on empty batches and exit 1 with "no signal"
+    path = write_config(
+        tmp_path,
+        {
+            "pipeline": "contraction",
+            "system": LDS_HALF,
+            "seed": 9,
+            "params": {"x0": [5.0], "n_max": 5, "per_step": 0, "reference_count": 10},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("per_step")
+    assert not (out / "report.json").exists()
+
+
 # --------------------------------------------------------------------- sweep
 
 

@@ -8,9 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.stats import beta, norm
 
-from concentrix import dynamics
+from concentrix import dynamics, montecarlo
 from concentrix.dynamics import (
     Predicate,
     SystemSpec,
@@ -138,6 +140,130 @@ def test_w1_input_validation():
         empirical_w1(np.zeros((1025, 2)), np.zeros((1025, 2)))
     with pytest.raises(ValueError):
         empirical_w1(column([0.0]), column([1.0]), metric="chebyshev")
+    with pytest.raises(ValueError, match="nonempty"):
+        empirical_w1(np.zeros((0, 2)), np.zeros((0, 2)))
+    # a flat list reads as one 3-D point (W1 = 1.0), not as three 1-D points
+    with pytest.raises(ValueError, match=r"\(m, n\)"):
+        empirical_w1([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        for dim in (1, 2):
+            a = np.zeros((3, dim))
+            a[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                empirical_w1(a, np.ones((3, dim)))
+            with pytest.raises(ValueError, match="finite"):
+                empirical_w1(np.ones((3, dim)), a)
+
+
+def plain_assignment_w1(a, b):
+    """The W1 value of a solve from zero duals on the raw distances."""
+    cost = cdist(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
+def _continuous_case(rng, kind, m, dim):
+    a = rng.normal(size=(m, dim))
+    if kind == "mixed":
+        far = rng.random((m, 1)) < 0.5
+        b = np.where(far, rng.normal(loc=3.0, size=(m, dim)), rng.normal(size=(m, dim)))
+    elif kind == "offset":
+        direction = rng.normal(size=dim)
+        b = rng.normal(size=(m, dim)) + rng.uniform(1, 100) * direction / np.linalg.norm(direction)
+    elif kind == "anisotropic":
+        scales = rng.uniform(0.01, 10.0, size=dim)
+        a = a * scales
+        b = rng.normal(size=(m, dim)) * scales[::-1] + rng.uniform(0, 5)
+    else:  # a shuffled copy of the same set: W1 = 0
+        b = a[rng.permutation(m)]
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["mixed", "offset", "anisotropic", "shuffled"])
+def test_w1_warm_start_equals_plain_solver(kind):
+    # the dual start changes the solver's path, not its permutation, so
+    # the value is the plain solve's to the bit on continuous inputs
+    rng = np.random.Generator(np.random.PCG64(22))
+    for dim in (2, 3):
+        for m in (2, 3, 7, 64, 257, 600):
+            a, b = _continuous_case(rng, kind, m, dim)
+            est = empirical_w1(a, b)
+            assert est.solver == "assignment"
+            assert est.value == plain_assignment_w1(a, b)
+            if kind == "shuffled":
+                assert est.value == 0.0
+
+
+def test_w1_contraction_distances_equal_plain_solver(monkeypatch):
+    # the slds-classical system, far from its reference at first: the
+    # regime the mean-direction start is for
+    box = tuple(
+        (normal, 0.7) for normal in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+    )
+    spec = SystemSpec.slds(
+        [
+            (Predicate(halfspaces=box), np.eye(2)),
+            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+        ]
+    )
+    reference = burn_in_sampler(spec, 256, 100, seed=23)
+    fit = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
+    monkeypatch.setattr(montecarlo, "_warm_started_costs", cdist)
+    plain = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
+    assert fit.distances == plain.distances
+    assert fit.noise_floor == plain.noise_floor
+    assert fit.rate == plain.rate
+
+
+def test_w1_harris_metric_equals_plain_solver():
+    metric = HarrisMetricSpec(weight=0.5)
+    rng = np.random.Generator(np.random.PCG64(25))
+    a = rng.normal(size=(40, 2))
+    b = np.vstack([a[:10], rng.normal(loc=2.0, size=(30, 2))])
+    va, vb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    cost = 2.0 + 0.5 * (va[:, None] + vb[None, :])
+    cost[(a[:, None, :] == b[None, :, :]).all(axis=2)] = 0.0
+    rows, cols = linear_sum_assignment(cost)
+    assert empirical_w1(a, b, metric).value == float(cost[rows, cols].mean())
+
+
+def test_w1_assignment_holds_one_cost_matrix():
+    # the reduced costs are refilled with the distances after the solve,
+    # so a call holds one m x m array, never a second copy
+    rng = np.random.Generator(np.random.PCG64(26))
+    m = 1024
+    a = rng.normal(size=(m, 2))
+    b = rng.normal(loc=0.5, size=(m, 2))
+    matrix_bytes = m * m * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        empirical_w1(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix_bytes <= peak < 1.5 * matrix_bytes
+
+
+def test_w1_tied_inputs_stay_optimal():
+    # on lattices and duplicated points several permutations are optimal;
+    # the warm start may pick another one, whose mean differs from the
+    # plain solve's in the last bits only
+    rng = np.random.Generator(np.random.PCG64(27))
+    for trial in range(60):
+        dim = 2 + trial % 2
+        m = int(rng.integers(2, 7)) if trial < 30 else int(rng.integers(7, 150))
+        if trial % 4 < 2:
+            a = rng.integers(-2, 3, size=(m, dim)).astype(float)
+            b = rng.integers(-2, 3, size=(m, dim)).astype(float) + rng.integers(0, 4)
+        else:
+            base = rng.normal(size=(max(1, m // 3), dim))
+            a = base[rng.integers(0, len(base), m)]
+            b = base[rng.integers(0, len(base), m)] + rng.integers(0, 3)
+        value = empirical_w1(a, b).value
+        assert value == pytest.approx(plain_assignment_w1(a, b), rel=1e-12, abs=0.0)
+        if m <= 6:
+            assert value == pytest.approx(brute_force_w1(a, b), rel=1e-12, abs=0.0)
 
 
 def test_sample_batch_rejects_empty():
