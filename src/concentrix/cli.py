@@ -35,6 +35,7 @@ from .lyapunov import (
 from .montecarlo import (
     NoSignalError,
     PrecisionError,
+    _check_contraction,
     _code_version,
     burn_in_sampler,
     contraction_rate_fit,
@@ -289,19 +290,18 @@ def _run_drift_check(config: ExperimentConfig):
 def _run_contraction(config: ExperimentConfig):
     spec = config.require_system()
     per_step = int(config.param("per_step", 512))
+    n_max = int(config.param("n_max", required=True))
+    reference_count = int(config.param("reference_count", 2 * per_step))
+    # reject bad sizes before the reference batch is simulated
+    _check_contraction(n_max, per_step, reference_count)
     reference = burn_in_sampler(
         spec,
-        int(config.param("reference_count", 2 * per_step)),
+        reference_count,
         int(config.param("reference_burn_in", 100)),
         derive_seed(config.seed, _STREAM_CLI_REFERENCE),
     )
     fit = contraction_rate_fit(
-        spec,
-        config.param("x0", required=True),
-        int(config.param("n_max", required=True)),
-        per_step,
-        reference,
-        seed=config.seed,
+        spec, config.param("x0", required=True), n_max, per_step, reference, seed=config.seed
     )
     expected = config.param("expected_rate")
     if expected is None:
@@ -435,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="accepted for compatibility: must be at least 1, otherwise ignored; "
-            "every run is serial",
+            "it does not size the contraction fit's thread pool",
         )
         p.add_argument("--out", default=None, help="output directory")
     return parser

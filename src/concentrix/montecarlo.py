@@ -8,6 +8,9 @@ derivation, so a report's bytes depend only on the config and the seed.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +78,9 @@ _BLOCK = 256
 _STREAM_REPLICATION = 1
 _STREAM_TARGET = 4
 _STREAM_DIAGNOSTIC = 5
+
+# bytes of m x m cost matrices the contraction fit holds at once, one per worker
+_COST_BUDGET_BYTES = 64 * 2**20
 
 
 def _code_version() -> str:
@@ -188,8 +194,8 @@ def _reduce_costs(cost, pa, pb, direction) -> float:
     return bound + float(rows.sum() + cols.sum())
 
 
-def _warm_started_costs(pa, pb) -> np.ndarray:
-    """Euclidean costs reduced by the better of two dual starts.
+def _warm_started_costs(pa, pb, cost) -> None:
+    """Fill ``cost`` with euclidean costs reduced by the better of two dual starts.
 
     The plain row/column minima, or the mean-direction potential u.x
     followed by them, where u is the unit vector between the batch
@@ -197,7 +203,7 @@ def _warm_started_costs(pa, pb) -> np.ndarray:
     is exact for a pure translation: far from the reference nearly every
     permutation is close to optimal, and without it the solver scans
     almost every column on each augmentation.  The start with the larger
-    dual bound is kept; the returned matrix holds reduced costs, not
+    dual bound is kept; ``cost`` then holds reduced costs, not
     distances.
     """
     starts = [None]
@@ -205,15 +211,13 @@ def _warm_started_costs(pa, pb) -> np.ndarray:
     norm = float(np.linalg.norm(shift))
     if norm > 0.0:
         starts.append(shift / norm)
-    cost = np.empty((pa.shape[0], pb.shape[0]))
     bounds = [_reduce_costs(cost, pa, pb, u) for u in starts]
     best = int(np.argmax(bounds))
     if best != len(starts) - 1:
         _reduce_costs(cost, pa, pb, starts[best])
-    return cost
 
 
-def empirical_w1(a, b, metric="euclidean") -> WassersteinEstimate:
+def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
     """Exact empirical W1 between two equal-size point sets.
 
     Batches are (m, n) arrays or :class:`SampleBatch` es of finite points.
@@ -231,6 +235,11 @@ def empirical_w1(a, b, metric="euclidean") -> WassersteinEstimate:
     value is the same to the bit.  On tied inputs (lattices, duplicated
     points) it can pick another optimal permutation, whose mean differs
     in the last bits only.
+
+    ``out``, when given, is a C-contiguous float64 (m, m) array that the
+    assignment paths use as their cost matrix instead of allocating one,
+    as ``cdist``'s ``out=``; its contents on return are the matrix the
+    value was read from.  The sorted 1-D path leaves it untouched.
     """
     pa, pb = _batch_points(a), _batch_points(b)
     if pa.shape[0] != pb.shape[0]:
@@ -245,23 +254,28 @@ def empirical_w1(a, b, metric="euclidean") -> WassersteinEstimate:
     if m > 1024:
         raise ValueError("batch size exceeds the 1024 assignment cap; subsample first")
     if isinstance(metric, HarrisMetricSpec):
-        va = np.linalg.norm(pa, axis=1)
-        vb = np.linalg.norm(pb, axis=1)
-        cost = 2.0 + metric.weight * (va[:, None] + vb[None, :])
-        equal = (pa[:, None, :] == pb[None, :, :]).all(axis=2)
-        cost[equal] = 0.0
-        rows, cols = linear_sum_assignment(cost)
         tag = "harris"
     elif metric == "euclidean":
         if pa.shape[1] == 1:
             value = float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
             return WassersteinEstimate(value, m, "euclidean", "sorted_1d")
-        cost = _warm_started_costs(pa, pb)
-        rows, cols = linear_sum_assignment(cost)
-        cdist(pa, pb, out=cost)
         tag = "euclidean"
     else:
         raise ValueError(f"unknown metric: {metric!r}")
+    cost = np.empty((m, m)) if out is None else out
+    if cost.shape != (m, m) or cost.dtype != np.float64 or not cost.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 ({m}, {m}) array")
+    if tag == "harris":
+        # 2 + w (|x| + |y|), elementwise in the same order as a fresh expression
+        np.add.outer(np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1), out=cost)
+        cost *= metric.weight
+        cost += 2.0
+        cost[(pa[:, None, :] == pb[None, :, :]).all(axis=2)] = 0.0
+        rows, cols = linear_sum_assignment(cost)
+    else:
+        _warm_started_costs(pa, pb, cost)
+        rows, cols = linear_sum_assignment(cost)
+        cdist(pa, pb, out=cost)
     value = float(cost[rows, cols].mean())
     return WassersteinEstimate(value, m, tag, "assignment")
 
@@ -655,6 +669,26 @@ class ContractionFit:
         )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _check_contraction(n_max: int, per_step: int, reference_count: int) -> None:
+    """Reject contraction-fit sizes before any simulation or solve."""
+    if n_max < 2:
+        raise ValueError("need at least two steps to fit a rate")
+    if per_step < 1:
+        raise ValueError("per_step must be at least 1")
+    if per_step > 1024:
+        raise ValueError("per_step exceeds the 1024 assignment cap")
+    if reference_count < 2 * per_step:
+        raise ValueError("reference batch must hold at least 2 * per_step points")
+
+
 def contraction_rate_fit(
     spec: SystemSpec,
     x0,
@@ -674,28 +708,52 @@ def contraction_rate_fit(
     rate is ``exp`` of the fitted slope of log-distance against n over the
     leading usable range.
 
+    The ``n_max + 1`` W1 solves are independent, and the assignment solver
+    releases the GIL, so they run on a thread pool of min(CPUs this process
+    may use, solves, ``_COST_BUDGET_BYTES`` / (8 per_step^2)) workers.  The
+    calling thread allocates one (per_step, per_step) cost matrix per worker
+    (none for the sorted 1-D path) and the solves take turns with them.
+    Values are collected in step order, so the fit is the same to the bit
+    on any number of CPUs, and a failing solve raises the error of the
+    first failing pair in that order.
+
     Raises
     ------
     NoSignalError
         If fewer than two leading steps rise above the noise floor.
     """
-    if n_max < 2:
-        raise ValueError("need at least two steps to fit a rate")
-    if per_step < 1:
-        raise ValueError("per_step must be at least 1")
-    if per_step > 1024:
-        raise ValueError("per_step exceeds the 1024 assignment cap")
     ref = _batch_points(reference)
-    if ref.shape[0] < 2 * per_step:
-        raise ValueError("reference batch must hold at least 2 * per_step points")
+    _check_contraction(n_max, per_step, ref.shape[0])
     ref_a, ref_b = ref[:per_step], ref[per_step : 2 * per_step]
-    noise_floor = empirical_w1(ref_a, ref_b, metric).value
-
     seeds = derive_seeds(derive_seed(seed, _STREAM_REPLICATION), 0, per_step)
     states = simulate_batch(spec, x0, n_max, seeds)
-    distances = np.array(
-        [empirical_w1(states[:, n, :], ref_a, metric).value for n in range(1, n_max + 1)]
+    pairs = [(ref_a, ref_b)] + [(states[:, n, :], ref_a) for n in range(1, n_max + 1)]
+
+    workers = min(
+        _cpu_count(), len(pairs), max(1, _COST_BUDGET_BYTES // (8 * per_step * per_step))
     )
+    # empirical_w1's sorted 1-D path needs no cost matrix
+    sorted_1d = metric == "euclidean" and ref.shape[1] == 1
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(None if sorted_1d else np.empty((per_step, per_step)))
+
+    def solve(pair):
+        # a worker runs one solve at a time, so a buffer is always free
+        cost = buffers.get()
+        try:
+            return empirical_w1(*pair, metric, out=cost).value
+        finally:
+            buffers.put(cost)
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(solve, pair) for pair in pairs]
+        values = [future.result() for future in futures]
+    finally:
+        # after a failed solve, drop the solves that have not started
+        pool.shutdown(cancel_futures=True)
+    noise_floor, distances = values[0], np.array(values[1:])
 
     usable = distances > 3.0 * noise_floor
     leading = 0

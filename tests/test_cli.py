@@ -507,6 +507,35 @@ def test_verify_contraction_zero_per_step_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"per_step": 0, "reference_count": 100_000}, "per_step must"),
+        ({"per_step": 2048, "reference_burn_in": 1000}, "per_step exceeds"),
+        ({"n_max": 1}, "need at least two steps"),
+        ({"per_step": 64, "reference_count": 127}, "reference batch"),
+    ],
+)
+def test_verify_contraction_bad_sizes_exit_2_before_sampling(
+    tmp_path, capsys, monkeypatch, params, message
+):
+    def sampler(*args, **kwargs):
+        raise AssertionError("the reference batch was simulated")
+
+    monkeypatch.setattr("concentrix.cli.burn_in_sampler", sampler)
+    path = write_config(
+        tmp_path,
+        {
+            "pipeline": "contraction",
+            "system": LDS_HALF,
+            "seed": 9,
+            "params": {"x0": [5.0], "n_max": 5, **params},
+        },
+    )
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith(message)
+
+
 # --------------------------------------------------------------------- sweep
 
 

@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,21 +197,28 @@ def test_w1_warm_start_equals_plain_solver(kind):
                 assert est.value == 0.0
 
 
-def test_w1_contraction_distances_equal_plain_solver(monkeypatch):
-    # the slds-classical system, far from its reference at first: the
-    # regime the mean-direction start is for
+def classical_spec():
+    """The slds-classical system: identity in a box, a contraction outside it."""
     box = tuple(
         (normal, 0.7) for normal in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
     )
-    spec = SystemSpec.slds(
+    return SystemSpec.slds(
         [
             (Predicate(halfspaces=box), np.eye(2)),
             (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
         ]
     )
+
+
+def test_w1_contraction_distances_equal_plain_solver(monkeypatch):
+    # the slds-classical system, far from its reference at first: the
+    # regime the mean-direction start is for
+    spec = classical_spec()
     reference = burn_in_sampler(spec, 256, 100, seed=23)
     fit = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
-    monkeypatch.setattr(montecarlo, "_warm_started_costs", cdist)
+    monkeypatch.setattr(
+        montecarlo, "_warm_started_costs", lambda pa, pb, cost: cdist(pa, pb, out=cost)
+    )
     plain = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
     assert fit.distances == plain.distances
     assert fit.noise_floor == plain.noise_floor
@@ -243,6 +253,43 @@ def test_w1_assignment_holds_one_cost_matrix():
     finally:
         tracemalloc.stop()
     assert matrix_bytes <= peak < 1.5 * matrix_bytes
+
+
+def test_w1_into_caller_buffer_allocates_no_matrix():
+    # with out= the assignment paths reuse the caller's matrix and give the
+    # value of a call that allocates its own
+    rng = np.random.Generator(np.random.PCG64(28))
+    m = 512
+    a = rng.normal(size=(m, 2))
+    b = rng.normal(loc=0.5, size=(m, 2))
+    metric = HarrisMetricSpec(weight=0.5)
+    matrix_bytes = m * m * 8
+    buffer = np.full((m, m), np.nan)
+    for kind in ("euclidean", metric):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            value = empirical_w1(a, b, kind, out=buffer).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * matrix_bytes
+        assert value == empirical_w1(a, b, kind).value
+    # the sorted 1-D path never touches the buffer
+    small = np.full((3, 3), 7.0)
+    assert empirical_w1(column([0, 1, 2]), column([1, 2, 3]), out=small).value == 1.0
+    assert (small == 7.0).all()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((4, 5)), np.empty((5, 5), dtype=np.float32), np.empty((5, 10))[:, ::2]],
+)
+def test_w1_rejects_unfit_buffer(out):
+    rng = np.random.Generator(np.random.PCG64(29))
+    a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    with pytest.raises(ValueError, match="out must be"):
+        empirical_w1(a, b, out=out)
 
 
 def test_w1_tied_inputs_stay_optimal():
@@ -610,6 +657,111 @@ def test_contraction_fit_validation():
         contraction_rate_fit(spec, [5.0], 5, 64, reference, seed=1)
     with pytest.raises(ValueError, match="cap"):
         contraction_rate_fit(spec, [5.0], 5, 2048, reference, seed=1)
+
+
+def _fit_cases(per_step=128, n_max=12):
+    """A 2-D (assignment) and a 1-D (sorted) contraction fit, as callables."""
+    spec2 = classical_spec()
+    ref2 = burn_in_sampler(spec2, 2 * per_step, 100, seed=30)
+    spec1 = SystemSpec.lds([[0.5]])
+    ref1 = burn_in_sampler(spec1, 2 * per_step, 100, seed=31)
+    return {
+        "2d": lambda: contraction_rate_fit(spec2, [20.0, 20.0], n_max, per_step, ref2, seed=32),
+        "1d": lambda: contraction_rate_fit(spec1, [20.0], n_max, per_step, ref1, seed=33),
+    }
+
+
+@pytest.mark.parametrize("case", ["2d", "1d"])
+def test_contraction_fit_equal_on_any_pool_size(monkeypatch, case):
+    fit = _fit_cases()[case]
+    results = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda cpus=cpus: cpus)
+        results.append(fit())
+    for other in results[1:]:
+        assert other.distances == results[0].distances
+        assert other.noise_floor == results[0].noise_floor
+        assert other.rate == results[0].rate
+        assert other.used == results[0].used
+
+
+def test_contraction_fit_buffers_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: two
+    # solves sharing one cost matrix would change a distance
+    spec = classical_spec()
+    reference = burn_in_sampler(spec, 64, 100, seed=36)
+
+    def fit():
+        return contraction_rate_fit(spec, [20.0, 20.0], 60, 32, reference, seed=37)
+
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    serial = fit()
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    pooled = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: pooled.append(fit()), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(pooled) == 1, "the pooled fit raised"
+    assert pooled[0].distances == serial.distances
+    assert pooled[0].noise_floor == serial.noise_floor
+
+
+def test_contraction_fit_raises_first_failing_step(monkeypatch):
+    # steps 2 and 4 fail, step 2 after step 4 has already raised: the
+    # caller still sees step 2's error.  From x0 = 1000 under A = 0.5 the
+    # step-n batch sits near 1000 / 2^n, which names the step.
+    spec = SystemSpec.lds([[0.5]])
+    reference = burn_in_sampler(spec, 64, 50, seed=34)
+    solve = montecarlo.empirical_w1
+
+    def failing(a, b, *args, **kwargs):
+        mean = float(np.mean(a))
+        step = round(math.log2(1000.0 / mean)) if mean > 10.0 else 0
+        if step == 2:
+            time.sleep(0.2)
+        if step in (2, 4):
+            raise ValueError(f"step {step}")
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "empirical_w1", failing)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+    with pytest.raises(ValueError, match="step 2"):
+        contraction_rate_fit(spec, [1000.0], 6, 32, reference, seed=35)
+
+
+def _fit_peak(fit) -> int:
+    tracemalloc.start()
+    try:
+        fit()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("cpus, budget_matrices, workers", [(3, 8, 3), (5, 2, 2)])
+def test_contraction_fit_holds_one_matrix_per_worker(
+    monkeypatch, cpus, budget_matrices, workers
+):
+    # the pool is sized by the CPUs and by the byte budget, whichever is
+    # smaller, and the solves reuse the caller's matrices
+    matrix_bytes = 512 * 512 * 8
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_COST_BUDGET_BYTES", budget_matrices * matrix_bytes)
+    peak = _fit_peak(_fit_cases(512, 6)["2d"])
+    assert workers * matrix_bytes <= peak < (workers + 0.5) * matrix_bytes
+
+
+def test_contraction_fit_sorted_path_allocates_no_matrix(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+    peak = _fit_peak(_fit_cases(512, 6)["1d"])
+    assert peak < 0.5 * 512 * 512 * 8
 
 
 # ------------------------------------------------------------- autocovariance
