@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .dynamics import (
@@ -71,6 +72,27 @@ class ConfigError(ValueError):
     """Missing or contradictory experiment configuration."""
 
 
+def _whole_number(value) -> int | None:
+    """``value`` as an int, or None when it is not a whole number.
+
+    JSON Schema counts 1.0 as an integer, so a whole float is that integer;
+    a bool is an int to Python but not a number in a config.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
+
+
+def _integer(key: str, value) -> int:
+    """An integer parameter; 2.5 or true is an error, never truncated."""
+    number = _whole_number(value)
+    if number is None:
+        raise ConfigError(f"params.{key} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run.
@@ -110,6 +132,10 @@ class ExperimentConfig:
             raise ConfigError(f"pipeline {self.pipeline!r} needs params.{key}")
         return self.params.get(key, default)
 
+    def int_param(self, key, default=None, required=False) -> int:
+        """:meth:`param` read as an integer by the seed's rule (:func:`_integer`)."""
+        return _integer(key, self.param(key, default, required))
+
 
 def load_config(path, seed_override=None) -> ExperimentConfig:
     """Read and validate an experiment config document."""
@@ -144,11 +170,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("a master seed is mandatory (config seed or --seed)")
-    # JSON Schema counts 1.0 as an integer, so a whole float is that integer
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
-    # a bool is an int to Python, and derive_seeds would fold 2**64 onto 0
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+    # derive_seeds would fold 2**64 onto 0
+    seed = _whole_number(seed)
+    if seed is None or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an integer in [0, 2**64)")
 
     params = raw.get("params", {})
@@ -191,7 +215,7 @@ def cmd_certify(config: ExperimentConfig) -> dict:
     spec = config.require_system()
     if spec.kind == "lds":
         t1, contraction = lds_certificate(spec)
-        n_samples = int(config.param("n_samples", 100))
+        n_samples = config.int_param("n_samples", 100)
         lipschitz = float(config.param("lipschitz", 1.0))
         tensorized = tensorized_constant(t1.constant, contraction.rate, n_samples)
         cert = ConcentrationCertificate(
@@ -250,24 +274,24 @@ def _run_deviation(config: ExperimentConfig):
         "spec": spec,
         "reward": reward,
         "epsilons": config.param("epsilons", required=True),
-        "replications": int(config.param("replications", required=True)),
-        "n_samples": int(config.param("n_samples", required=True)),
+        "replications": config.int_param("replications", required=True),
+        "n_samples": config.int_param("n_samples", required=True),
         "seed": config.seed,
         "target_mean": config.param("target_mean"),
         "target_provenance": config.param("target_provenance"),
-        "target_samples": int(config.param("target_samples", 100_000)),
+        "target_samples": config.int_param("target_samples", 100_000),
     }
     if mode == "trajectory":
         return deviation_probability_experiment(
             x0=config.param("x0", required=True),
-            bias_burn_in=int(config.param("bias_burn_in", 200)),
+            bias_burn_in=config.int_param("bias_burn_in", 200),
             **shared,
         )
     if mode == "iid":
         return iid_deviation_experiment(
-            burn_in=int(config.param("burn_in", required=True)),
+            burn_in=config.int_param("burn_in", required=True),
             te_const=_resolve_te_constant(config, spec),
-            diagnostic_samples=int(config.param("diagnostic_samples", 512)),
+            diagnostic_samples=config.int_param("diagnostic_samples", 512),
             **shared,
         )
     raise ConfigError(f"unknown deviation mode: {mode!r}")
@@ -276,7 +300,7 @@ def _run_deviation(config: ExperimentConfig):
 def _run_drift_check(config: ExperimentConfig):
     spec = config.require_system()
     x_grid = config.param("x_grid", required=True)
-    samples = int(config.param("samples_per_point", 2000))
+    samples = config.int_param("samples_per_point", 2000)
     certificate = None
     if config.param("radius") is not None:
         certificate = slds_geometric_drift(spec, *_hypothesis(config))
@@ -289,15 +313,15 @@ def _run_drift_check(config: ExperimentConfig):
 
 def _run_contraction(config: ExperimentConfig):
     spec = config.require_system()
-    per_step = int(config.param("per_step", 512))
-    n_max = int(config.param("n_max", required=True))
-    reference_count = int(config.param("reference_count", 2 * per_step))
+    per_step = config.int_param("per_step", 512)
+    n_max = config.int_param("n_max", required=True)
+    reference_count = config.int_param("reference_count", 2 * per_step)
     # reject bad sizes before the reference batch is simulated
     _check_contraction(n_max, per_step, reference_count)
     reference = burn_in_sampler(
         spec,
         reference_count,
-        int(config.param("reference_burn_in", 100)),
+        config.int_param("reference_burn_in", 100),
         derive_seed(config.seed, _STREAM_CLI_REFERENCE),
     )
     fit = contraction_rate_fit(
@@ -337,7 +361,7 @@ def _sweep_rows(config: ExperimentConfig):
 
     if variable in ("n_samples", "epsilon", "rate"):
         # one certificate per grid point, with the swept field overridden
-        casts = {"n_samples": int, "epsilon": float, "rate": float}
+        casts = {"n_samples": partial(_integer, "n_samples"), "epsilon": float, "rate": float}
         if variable == "rate":
             base = {"constant": float(config.param("constant", 1.0))}
         else:

@@ -6,8 +6,11 @@ first region predicate that matches ``x``.  The noise ``xi`` is always
 N(0, I_n); simulation is bit-reproducible from a seed in [0, 2**64).  A
 trajectory's noise is exactly what ``Generator(PCG64(seed))`` draws, but
 the generator states of a whole batch are computed at once in numpy (the
-128-bit seeding step on pairs of uint64 limbs) and loaded into one reused
-generator, because building one PCG64 per seed costs more than its draws.
+128-bit seeding step on pairs of uint64 limbs) and copied, one stream at a
+time, into the ``pcg64_random_t`` of one reused generator: building one
+PCG64 per seed, or going through its ``state`` setter, costs about as much
+as the draws.  The copy target's layout is read and checked against the
+public ``state`` getter first; an unknown layout raises RuntimeError.
 
 A batch advances one step at a time.  Each region's matrix multiplies the
 whole batch, and a row keeps the product of the first region that matches
@@ -19,6 +22,7 @@ and a batch put a point in the same region.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 from dataclasses import dataclass
@@ -151,15 +155,22 @@ def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return a1 * b1 + (cross0 >> _U64_32) + (cross1 >> _U64_32) + (mid >> _U64_32)
 
 
-def _pcg64_states(seeds: np.ndarray):
-    """Yield (state, inc) of ``np.random.PCG64(seed)`` for each uint64 seed.
+def _pcg64_states(seeds: np.ndarray, high_first: bool = False) -> np.ndarray:
+    """``np.random.PCG64(seed)``'s (state, inc) for each uint64 seed, as limbs.
 
     A seed below 2**64 enters ``SeedSequence`` as the two 32-bit words
     ``[lo, hi]``: shorter entropy is padded with ``hashmix(0)``, which is
     what a zero word gives.  The pool mixing and ``generate_state(4,
     uint64)`` run here on whole uint32 arrays.  PCG64 then seeds with
     ``pcg_setseq_128_srandom_r``, whose 128-bit step runs on (high, low)
-    uint64 limbs; only the results become Python integers.
+    uint64 limbs.
+
+    Returns
+    -------
+    ndarray of uint64, shape (len(seeds), 4)
+        Row i is the state and then the increment of seed i, each as its
+        low and then its high limb, or high and then low when
+        ``high_first``: the two layouts of numpy's ``pcg64_random_t``.
     """
     hash_const = _INIT_A
 
@@ -202,20 +213,55 @@ def _pcg64_states(seeds: np.ndarray):
     )
     state_lo = sum_lo * _PCG_MULT_LO + inc_lo
     state_hi += inc_hi + (state_lo < inc_lo)
-    limbs = (state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    for s_hi, s_lo, i_hi, i_lo in zip(*limbs):
-        yield (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
+    if high_first:
+        return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_struct(bit_generator: np.random.PCG64) -> tuple[np.ndarray, bool]:
+    """A PCG64's ``pcg64_random_t`` as four writable uint64, and its limb order.
+
+    The flag is True when each 128-bit word stores its high limb first.
+    ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
+    whose first member points to the ``pcg64_random_t`` inside the same
+    object.  Its two 128-bit words are ``__uint128_t`` where the compiler
+    has one (low limb first on a little-endian machine) and ``{high, low}``
+    structs where numpy emulates 128-bit arithmetic.  The limbs are only
+    read here, and must equal what the public ``state`` getter reports; any
+    other layout raises RuntimeError.  The view is valid while
+    ``bit_generator`` lives.
+    """
+    start = id(bit_generator)  # the object's address in CPython
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    # pcg64_random_t is 32 bytes: the 128-bit state, then the 128-bit inc
+    end = start + type(bit_generator).__basicsize__ - 32
+    if address is None or not start <= address <= end:
+        raise RuntimeError("numpy's PCG64 state is not inside its bit generator")
+    struct = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    pcg = bit_generator.state["state"]
+    (state_hi, state_lo), (inc_hi, inc_lo) = (
+        divmod(pcg[key], 1 << 64) for key in ("state", "inc")
+    )
+    words = struct.tolist()
+    if words == [state_lo, state_hi, inc_lo, inc_hi]:
+        return struct, False
+    if words == [state_hi, state_lo, inc_hi, inc_lo]:
+        return struct, True
+    raise RuntimeError("numpy's PCG64 state has an unknown memory layout")
 
 
 def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
-    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws."""
+    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws.
+
+    One generator draws every row.  Before each row, that seed's state is
+    copied into the generator's ``pcg64_random_t`` (:func:`_pcg64_struct`),
+    which costs less than the ``state`` setter or a new PCG64.
+    """
     noise = np.empty((len(seeds), n_steps, dim))
     gen = np.random.Generator(np.random.PCG64(0))
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg_state, inc) in zip(noise, _pcg64_states(seeds)):
-        pcg["state"], pcg["inc"] = pcg_state, inc
-        gen.bit_generator.state = state
+    struct, high_first = _pcg64_struct(gen.bit_generator)
+    for row, limbs in zip(noise, _pcg64_states(seeds, high_first)):
+        struct[...] = limbs
         gen.standard_normal(out=row)
     return noise
 
@@ -493,24 +539,26 @@ def _apply_matrices(spec: SystemSpec, pts: np.ndarray) -> np.ndarray:
     so a region that holds exactly one row takes that row's product alone,
     as a gathered one-row product would; seeded outputs rely on those bits.
     """
-    if spec.kind == "lds":
-        return pts @ spec.matrices[0].T
     out = pts @ spec.matrices[-1].T
-    free = np.ones(pts.shape[0], dtype=bool)  # rows no earlier region matched
+    if len(spec.matrices) == 1:
+        # a linear system, or a switched one with the catch-all alone: a lone
+        # row here already took the lone-row product
+        return out
+    # whole rows as single items: a row mask needs no broadcasting
+    row = np.dtype((np.void, out.itemsize * out.shape[1]))
+    out_rows = out.view(row)
+    free = None  # rows no earlier region matched; None before the first region
     for pred, mat in zip(spec.regions.predicates[:-1], spec.matrices[:-1]):
         mask = pred.matches_batch(pts)
-        mask &= free
-        # whole rows as single items: a row mask needs no broadcasting
-        np.copyto(_as_rows(out), _as_rows(pts @ mat.T), where=mask[:, None])
-        free ^= mask
+        if free is None:
+            free = ~mask
+        else:
+            mask &= free
+            free ^= mask
+        np.copyto(out_rows, (pts @ mat.T).view(row), where=mask[:, None])
         _lone_row_product(out, pts, mask, mat)
     _lone_row_product(out, pts, free, spec.matrices[-1])
     return out
-
-
-def _as_rows(a: np.ndarray) -> np.ndarray:
-    """An (m, n) C-contiguous float array as (m, 1) items of n * 8 raw bytes."""
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
 
 
 def _lone_row_product(out: np.ndarray, pts: np.ndarray, mask: np.ndarray, mat) -> None:

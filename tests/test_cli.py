@@ -17,6 +17,7 @@ from concentrix.cli import (
     canonical_json,
     cmd_certify,
     cmd_sweep,
+    cmd_verify,
     load_config,
     main,
 )
@@ -287,6 +288,83 @@ def test_float_seed_that_is_no_u64_exits_2(tmp_path, capsys, seed):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "ConfigError", "message": "seed must be an integer in [0, 2**64)"}
     assert not (out / "report.json").exists()
+
+
+IID_PARAMS = {
+    "mode": "iid", "reward": "norm", "n_samples": 5, "replications": 100,
+    "burn_in": 20, "epsilons": [0.5], "te_constant": 1e-6,
+}
+DRIFT_PARAMS = {"x_grid": [[0.0], [2.0]], "samples_per_point": 100}
+CONTRACTION_PARAMS = {"x0": [5.0], "n_max": 5, "per_step": 64}
+# (command, pipeline, system, params, key): each key is a size parameter
+INTEGER_PARAMS = [
+    ("certify", "certify", LDS_HALF, {"n_samples": 100}, "n_samples"),
+    *(
+        ("verify", "verify-deviation", LDS_HALF, SMALL_DEVIATION_PARAMS, key)
+        for key in ("n_samples", "replications", "target_samples", "bias_burn_in")
+    ),
+    *(
+        ("verify", "verify-deviation", LDS_HALF, {**IID_PARAMS, "diagnostic_samples": 64}, key)
+        for key in ("burn_in", "diagnostic_samples")
+    ),
+    ("verify", "verify-lyapunov", SLDS_CHAIN, DRIFT_PARAMS, "samples_per_point"),
+    *(
+        ("verify", "contraction", LDS_HALF,
+         {**CONTRACTION_PARAMS, "reference_count": 128, "reference_burn_in": 20}, key)
+        for key in ("per_step", "n_max", "reference_count", "reference_burn_in")
+    ),
+    ("sweep", "sweep", LDS_HALF, {"variable": "epsilon", "grid": [0.3], "n_samples": 10},
+     "n_samples"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "command, pipeline, system, params, key",
+    INTEGER_PARAMS,
+    ids=[f"{case[1]}-{case[4]}" for case in INTEGER_PARAMS],
+)
+def test_integer_param_that_is_no_integer_exits_2(
+    tmp_path, capsys, command, pipeline, system, params, key, value
+):
+    # int() would cut 2.5 down to 2 and true to 1 while the report embeds 2.5
+    body = {"pipeline": pipeline, "system": system, "seed": 3,
+            "params": {**params, key: value}}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "ConfigError",
+        "message": f"params.{key} must be an integer, got {value!r}",
+    }
+    assert list(tmp_path.glob("out/*")) == []
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_sweep_grid_value_that_is_no_integer_exits_2(tmp_path, capsys, value):
+    params = {"variable": "n_samples", "grid": [10, value], "epsilon": 0.3}
+    body = {"pipeline": "sweep", "system": LDS_HALF, "seed": 1, "params": params}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"] == f"params.n_samples must be an integer, got {value!r}"
+    assert not (out / "sweep.json").exists()
+
+
+def test_whole_float_integer_params_run_as_their_integers(tmp_path):
+    results = []
+    for kind in (int, float):
+        params = {**SMALL_DEVIATION_PARAMS, "n_samples": kind(40), "replications": kind(200)}
+        body = {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 5,
+                "params": params}
+        path = write_config(tmp_path, body, name=f"config-{kind.__name__}.json")
+        report, _ = cmd_verify(load_config(path))
+        results.append(report.to_dict())
+        sweep = {"variable": "n_samples", "grid": [kind(10), kind(100)], "epsilon": 0.3}
+        body = {"pipeline": "sweep", "system": LDS_HALF, "seed": 1, "params": sweep}
+        path = write_config(tmp_path, body, name=f"sweep-{kind.__name__}.json")
+        results.append(cmd_sweep(load_config(path))["rows"])
+    assert results[:2] == results[2:]
 
 
 def test_certify_writes_enveloped_json(tmp_path):

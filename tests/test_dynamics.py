@@ -1,6 +1,10 @@
 """Tests for system definitions, simulation, and seed derivation."""
 
+import ctypes
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,6 +283,13 @@ def test_region_dispatch_equals_gather_scatter_reference(dim):
     assert np.array_equal(
         dynamics._apply_matrices(lds, pts), _apply_matrices_reference(lds, pts)
     )
+    # a switched system with the catch-all alone has no earlier region
+    lone = SystemSpec.slds([(Predicate(catch_all=True), rng.normal(size=(dim, dim)))])
+    for m in (1, 2):
+        pts = rng.normal(size=(m, dim))
+        assert np.array_equal(
+            dynamics._apply_matrices(lone, pts), _apply_matrices_reference(lone, pts)
+        )
 
 
 # ---------------------------------------------------------------- spectral norm
@@ -575,14 +586,24 @@ def _pcg64_carries(seed):
     return sum_lo > mask, product_lo + inc_lo > mask
 
 
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
 def test_pcg64_states_match_numpy_seeding():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    seeds = edges + derive_seeds(2024, 0, 10_000).tolist()
+    seeds = EDGE_SEEDS + derive_seeds(2024, 0, 10_000).tolist()
     # every combination of the two low-limb carries is exercised
     carries = [_pcg64_carries(seed) for seed in seeds]
     for combination in [(False, False), (False, True), (True, False), (True, True)]:
         assert carries.count(combination) > 1000
-    states = list(dynamics._pcg64_states(np.array(seeds, dtype=np.uint64)))
+    seed_array = np.array(seeds, dtype=np.uint64)
+    limbs = dynamics._pcg64_states(seed_array)
+    assert limbs.shape == (len(seeds), 4) and limbs.dtype == np.uint64
+    high_first = dynamics._pcg64_states(seed_array, high_first=True)
+    assert np.array_equal(high_first, limbs[:, [1, 0, 3, 2]])
+    states = [
+        ((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
+        for state_lo, state_hi, inc_lo, inc_hi in limbs.tolist()
+    ]
     assert len(states) == len(seeds)
     for seed, (state, inc) in zip(seeds, states):
         assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
@@ -596,6 +617,110 @@ def test_simulate_batch_noise_is_per_seed_pcg64_draws():
     for row, seed in zip(batch, seeds):
         draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((30, 2))
         assert np.array_equal(row[1:], draws)
+
+
+@pytest.fixture(scope="module")
+def per_seed_draws():
+    """The edge seeds and 10,000 derived ones, with each seed's first 51 normals."""
+    seeds = EDGE_SEEDS + derive_seeds(2025, 0, 10_000).tolist()
+    draws = [np.random.Generator(np.random.PCG64(s)).standard_normal(51) for s in seeds]
+    return np.array(seeds, dtype=np.uint64), np.array(draws)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [0, 1, 17])
+def test_noise_equals_per_seed_generator_draws(per_seed_draws, n_steps, dim):
+    seeds, draws = per_seed_draws
+    # standard_normal fills its output in order, so a shape takes the first draws
+    expected = draws[:, : n_steps * dim].reshape(len(seeds), n_steps, dim)
+    noise = dynamics._standard_normals(seeds, n_steps, dim)
+    assert noise.shape == expected.shape
+    assert (noise == expected).all()
+    # with A = 0 and a zero start every state after the first is the noise
+    spec = SystemSpec.lds(np.zeros((dim, dim)))
+    states = simulate_batch(spec, np.zeros(dim), n_steps, seeds)
+    assert (states[:, 1:] == expected).all()
+
+
+def test_noise_of_no_seeds():
+    spec = SystemSpec.lds(np.eye(2))
+    assert dynamics._standard_normals(np.array([], dtype=np.uint64), 5, 2).shape == (0, 5, 2)
+    assert simulate_batch(spec, [0.0, 0.0], 5, []).shape == (0, 6, 2)
+    assert simulate_endpoints(spec, [0.0, 0.0], 5, []).shape == (0, 2)
+
+
+def test_concurrent_simulate_endpoints_match_serial():
+    # every call copies states into a generator of its own; threads that
+    # shared one would draw each other's streams
+    spec = SystemSpec.slds(
+        [
+            (Predicate(ball_le=1.0), np.eye(2)),
+            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+        ]
+    )
+    seed_sets = [derive_seeds(master, 0, 3000) for master in range(4)]
+    serial = [simulate_endpoints(spec, [2.0, 0.0], 20, seeds) for seeds in seed_sets]
+    results = [None] * len(seed_sets)
+    barrier = threading.Barrier(len(seed_sets))
+
+    def run(i):
+        barrier.wait(timeout=30)
+        results[i] = simulate_endpoints(spec, [2.0, 0.0], 20, seed_sets[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seed_sets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, expected in zip(results, serial):
+        assert got is not None and (got == expected).all()
+
+
+def test_pcg64_layout_mismatch_raises_before_any_write(monkeypatch):
+    made = []
+
+    class MisreportingPCG64(np.random.PCG64):
+        """Reports an increment that its memory does not hold."""
+
+        def __init__(self, seed=None):
+            super().__init__(seed)
+            made.append(self)
+
+        @property
+        def state(self):
+            state = super().state
+            state["state"]["inc"] += 2
+            return state
+
+    monkeypatch.setattr(np.random, "PCG64", MisreportingPCG64)
+    with pytest.raises(RuntimeError, match="unknown memory layout"):
+        dynamics._standard_normals(np.array([1, 2], dtype=np.uint64), 3, 2)
+    monkeypatch.undo()
+    # the generator's memory still holds PCG64(0): no state was copied in
+    (bit_generator,) = made
+    assert np.array_equal(bit_generator.random_raw(8), np.random.PCG64(0).random_raw(8))
+
+
+def test_pcg64_state_outside_its_bit_generator_raises():
+    elsewhere = (ctypes.c_uint64 * 4)()
+    for target in (ctypes.addressof(elsewhere), None):
+        pointer = ctypes.c_void_p(target)
+
+        class MisplacedPCG64(np.random.PCG64):
+            """Its pcg64_state points at memory outside the object, or nowhere."""
+
+            @property
+            def ctypes(self):
+                return SimpleNamespace(state_address=ctypes.addressof(pointer))
+
+        with pytest.raises(RuntimeError, match="not inside its bit generator"):
+            dynamics._pcg64_struct(MisplacedPCG64(0))
 
 
 @pytest.mark.parametrize(
