@@ -373,7 +373,7 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 def _check_experiment(
-    n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+    n_samples, epsilons, replications, target_mean, target_provenance
 ) -> tuple:
     """Checks shared by both deviation experiments, run before any simulation."""
     grid = tuple(float(e) for e in epsilons)
@@ -385,14 +385,17 @@ def _check_experiment(
         raise ValueError("need at least 100 replications")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if target_mean is None:
-        if target_samples < 2:
-            raise ValueError(
-                "a Monte Carlo target needs target_samples >= 2 for its standard error"
-            )
-    elif not target_provenance:
+    if target_mean is not None and not target_provenance:
         raise ValueError("a supplied target mean must state its provenance")
     return grid
+
+
+def _check_monte_carlo_target(target_samples: int) -> None:
+    """Checks for a Monte Carlo target, run only where one will be estimated."""
+    if target_samples < 2:
+        raise ValueError(
+            "a Monte Carlo target needs target_samples >= 2 for its standard error"
+        )
 
 
 def _deviation_report(
@@ -496,15 +499,12 @@ def deviation_probability_experiment(
     target is the exact stationary mean where a closed form exists (the
     coordinate reward, and the norm reward in one or two dimensions);
     otherwise it is the Monte Carlo mean of ``target_samples`` endpoints
-    after ``bias_burn_in`` steps.  Supplied targets must state their
-    provenance.
+    after ``bias_burn_in`` steps, and only then are those two values
+    checked.  Supplied targets must state their provenance.
     """
     epsilons = _check_experiment(
-        n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+        n_samples, epsilons, replications, target_mean, target_provenance
     )
-    if bias_burn_in < 1:
-        # a Monte Carlo target would be the start point
-        raise ValueError("bias_burn_in must be at least 1")
     if spec.kind != "lds":
         raise ValueError(
             "trajectory deviation bounds need a per-step transport certificate; "
@@ -522,6 +522,11 @@ def deviation_probability_experiment(
         exact = _closed_form_mean(sigma, tag)
         if exact is not None:
             target_mean, target_provenance = exact
+        else:
+            _check_monte_carlo_target(target_samples)
+            if bias_burn_in < 1:
+                # the Monte Carlo target would be the start point
+                raise ValueError("bias_burn_in must be at least 1")
 
     n = spec.dim
     with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -581,8 +586,10 @@ def iid_deviation_experiment(
     and at four times that horizon.
     """
     epsilons = _check_experiment(
-        n_samples, epsilons, replications, target_mean, target_provenance, target_samples
+        n_samples, epsilons, replications, target_mean, target_provenance
     )
+    if target_mean is None:
+        _check_monte_carlo_target(target_samples)
     if burn_in < 1:
         # every endpoint would be the start point, so every deviation is zero
         raise ValueError("burn_in must be at least 1")

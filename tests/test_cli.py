@@ -52,6 +52,16 @@ SMALL_DEVIATION_PARAMS = {
 }
 
 
+def half_lds(params):
+    """A = 0.5 I in the dimension of ``params``' start point; LDS_HALF without one.
+
+    The norm reward's stationary mean has a closed form in one and two
+    dimensions only, so a trajectory config starting in 3-D has a Monte
+    Carlo target.
+    """
+    return {"type": "lds", "A": (0.5 * np.eye(len(params.get("x0", [0.0])))).tolist()}
+
+
 def write_config(tmp_path, body, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body))
@@ -469,10 +479,11 @@ def test_verify_lyapunov_csv_rows(tmp_path):
 def test_verify_one_sample_target_exits_2(tmp_path, capsys):
     # a one-sample Monte Carlo target has no standard error; the report
     # would carry NaN, which is not JSON
-    params = {**SMALL_DEVIATION_PARAMS, "target_samples": 1}
+    params = {**SMALL_DEVIATION_PARAMS, "x0": [0.0, 0.0, 0.0], "target_samples": 1}
     path = write_config(
         tmp_path,
-        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
+        {"pipeline": "verify-deviation", "system": half_lds(params), "seed": 42,
+         "params": params},
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--out", str(out)]) == 2
@@ -482,6 +493,32 @@ def test_verify_one_sample_target_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
     with pytest.raises(ValueError):
         canonical_json({"value": math.nan})
+
+
+@pytest.mark.parametrize("unused", [{"target_samples": 1}, {"bias_burn_in": 0}])
+def test_verify_exact_target_ignores_monte_carlo_target_sizes(tmp_path, unused):
+    # the 1-D norm reward's target is exact, so the Monte Carlo target's
+    # sample count and burn-in are never used and are not checked
+    results = []
+    for name, params in (
+        ("default", SMALL_DEVIATION_PARAMS),
+        ("unused", {**SMALL_DEVIATION_PARAMS, **unused}),
+    ):
+        path = write_config(
+            tmp_path,
+            {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42,
+             "params": params},
+            f"{name}.json",
+        )
+        assert main(["verify", "--config", path, "--out", str(tmp_path / name)]) == 0
+        results.append(json.loads((tmp_path / name / "report.json").read_text())["result"])
+    default, changed = results
+    assert changed["target_provenance"] == "half_normal_closed_form"
+    # the value given is recorded, and nothing else moves
+    burn_in = {**SMALL_DEVIATION_PARAMS, **unused}["bias_burn_in"]
+    assert changed["details"].pop("bias_burn_in") == burn_in
+    default["details"].pop("bias_burn_in")
+    assert changed == default
 
 
 @pytest.mark.parametrize("x0", [[0.0, 0.0], [math.nan], [1e200]])
@@ -504,7 +541,10 @@ def test_verify_bad_x0_exits_2(tmp_path, capsys, x0):
 @pytest.mark.parametrize(
     "params, name",
     [
-        ({**SMALL_DEVIATION_PARAMS, "bias_burn_in": 0}, "bias_burn_in"),
+        (
+            {**SMALL_DEVIATION_PARAMS, "x0": [0.0, 0.0, 0.0], "bias_burn_in": 0},
+            "bias_burn_in",
+        ),
         (
             {
                 "mode": "iid", "reward": "norm", "n_samples": 5, "replications": 100,
@@ -519,7 +559,8 @@ def test_verify_zero_burn_in_exits_2(tmp_path, capsys, params, name):
     # point, so every deviation is zero and any bound would "pass"
     path = write_config(
         tmp_path,
-        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
+        {"pipeline": "verify-deviation", "system": half_lds(params), "seed": 42,
+         "params": params},
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--out", str(out)]) == 2

@@ -274,10 +274,15 @@ def test_region_dispatch_equals_gather_scatter_reference(dim):
             preds[rng.integers(len(preds))] = matches_all
         mats = [rng.normal(size=(dim, dim)) for _ in range(n_regions)]
         spec = SystemSpec.slds(list(zip(preds + [Predicate(catch_all=True)], mats)))
-        for m in (1, 2, 7, 64, 1001):
+        # 2621 rows are a 2 MiB noise chunk of 50-step 2-D trajectories
+        for m in (1, 2, 7, 64, 1001, 2621):
             pts = rng.normal(scale=float(rng.uniform(0.5, 4.0)), size=(m, dim))
             expected = _apply_matrices_reference(spec, pts)
             assert np.array_equal(dynamics._apply_matrices(spec, pts), expected)
+            # the caller-supplied buffers of a stepping loop; stale values must not leak
+            out, scratch = np.full_like(pts, np.nan), np.full_like(pts, np.nan)
+            assert dynamics._apply_matrices(spec, pts, out=out, scratch=scratch) is out
+            assert np.array_equal(out, expected)
     lds = SystemSpec.lds(rng.normal(size=(dim, dim)))
     pts = rng.normal(size=(50, dim))
     assert np.array_equal(
@@ -751,8 +756,8 @@ def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypa
 
 
 def test_simulate_endpoints_holds_one_noise_chunk():
-    # 10,000 trajectories of 200 steps are 16 chunks of 1 MiB noise; drawing
-    # a chunk while the previous one is still referenced would hold 2 MiB
+    # 10,000 trajectories of 200 steps are 8 chunks of 2 MiB noise; drawing
+    # a chunk while the previous one is still referenced would hold two
     seeds = derive_seeds(1, 0, 10_000)
     tracemalloc.start()
     try:
@@ -760,7 +765,7 @@ def test_simulate_endpoints_holds_one_noise_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * 2**20
+    assert peak < 1.75 * dynamics._NOISE_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

@@ -519,9 +519,11 @@ def test_deviation_validation():
         deviation_probability_experiment(spec, "entropy", [0.0], 10, [0.5], 100, seed=1)
     with pytest.raises(ValueError, match="positive"):
         deviation_probability_experiment(spec, "norm", [0.0], 10, [-0.5], 100, seed=1)
+    # only a Monte Carlo target (the norm reward in 3-D) uses bias_burn_in
     with pytest.raises(ValueError, match="bias_burn_in"):
         deviation_probability_experiment(
-            spec, "norm", [0.0], 10, [0.5], 100, seed=1, bias_burn_in=0
+            SystemSpec.lds(0.5 * np.eye(3)), "norm", [0.0] * 3, 10, [0.5], 100,
+            seed=1, bias_burn_in=0,
         )
     with pytest.raises(NotContractiveError):
         deviation_probability_experiment(
