@@ -499,8 +499,9 @@ def minorization_beta(
     boundary enter the quadrature; every interior point is strictly
     dominated by more than rounding, so the mass is bit-identical to the
     quadrature over the whole grid.  The cost is one Qhull call on the
-    mapped grid plus quadrature nodes times the points in the band, instead
-    of quadrature nodes times the whole grid.
+    mapped grid plus one (nodes, band points) array operation per
+    coordinate for each chunk of quadrature nodes, instead of quadrature
+    nodes times the whole grid.
 
     Raises
     ------
@@ -543,7 +544,14 @@ def minorization_beta(
     mus = _hull_band(mus, box)
     for start in range(0, len(ys), chunk):
         block = ys[start : start + chunk]
-        d2 = ((block[:, None, :] - mus[None, :, :]) ** 2).sum(axis=2)
+        # squared distances summed by coordinate from left to right: the
+        # adds of a sum over the last axis, without its per-pair loop
+        d2 = np.subtract.outer(block[:, 0], mus[:, 0])
+        d2 *= d2
+        for j in range(1, n):
+            diff = np.subtract.outer(block[:, j], mus[:, j])
+            diff *= diff
+            d2 += diff
         worst = d2.max(axis=1)
         total += float(np.exp(log_norm - 0.5 * worst).sum()) * cell
     return MinorizationEstimate(

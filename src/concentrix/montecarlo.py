@@ -24,6 +24,7 @@ from .dynamics import (
     SystemSpec,
     _check_vector,
     _endpoint_chunk,
+    _row_sums,
     _write_csv,
     derive_seed,
     derive_seeds,
@@ -172,7 +173,7 @@ def _batch_points(batch) -> np.ndarray:
 
 
 def _reduce_costs(cost, pa, pb, direction) -> float:
-    """Refill ``cost`` with the distances and reduce it in place.
+    """Fill ``cost`` with the distances and reduce it in place.
 
     Subtracts the potentials f(x) = u.x and g(y) = -u.y along the unit
     vector ``direction`` (when given), then the row minima and the column
@@ -195,26 +196,25 @@ def _reduce_costs(cost, pa, pb, direction) -> float:
 
 
 def _warm_started_costs(pa, pb, cost) -> None:
-    """Fill ``cost`` with euclidean costs reduced by the better of two dual starts.
+    """Fill ``cost`` with euclidean costs reduced by one of two dual starts.
 
-    The plain row/column minima, or the mean-direction potential u.x
-    followed by them, where u is the unit vector between the batch
+    The plain start subtracts the row and then the column minima from
+    one fill of the distances.  The mean-direction start first subtracts
+    the potential u.x, where u is the unit vector between the batch
     means.  u.x is 1-Lipschitz, so it is a feasible W1 potential, and it
     is exact for a pure translation: far from the reference nearly every
     permutation is close to optimal, and without it the solver scans
-    almost every column on each augmentation.  The start with the larger
-    dual bound is kept; ``cost`` then holds reduced costs, not
+    almost every column on each augmentation.  Its own dual value,
+    m ||mean(a) - mean(b)||, needs no matrix, so the distances are
+    refilled and reduced from it only when that value is above the plain
+    start's reduced bound.  ``cost`` then holds reduced costs, not
     distances.
     """
-    starts = [None]
+    plain = _reduce_costs(cost, pa, pb, None)
     shift = pa.mean(axis=0) - pb.mean(axis=0)
     norm = float(np.linalg.norm(shift))
-    if norm > 0.0:
-        starts.append(shift / norm)
-    bounds = [_reduce_costs(cost, pa, pb, u) for u in starts]
-    best = int(np.argmax(bounds))
-    if best != len(starts) - 1:
-        _reduce_costs(cost, pa, pb, starts[best])
+    if pa.shape[0] * norm > plain:
+        _reduce_costs(cost, pa, pb, shift / norm)
 
 
 def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
@@ -229,17 +229,19 @@ def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
 
     The euclidean assignment starts the solver from dual potentials (see
     :func:`_warm_started_costs`), which makes the solves far from the
-    reference several times faster, then refills the matrix with
-    ``cdist`` and averages the matched distances.  On continuous inputs
-    it picks the same permutation as a solve from zero duals, so the
-    value is the same to the bit.  On tied inputs (lattices, duplicated
-    points) it can pick another optimal permutation, whose mean differs
-    in the last bits only.
+    reference several times faster.  The value is the mean of the m
+    matched distances, each the root of its squared differences summed
+    from left to right, which are ``cdist``'s bits.  On continuous inputs
+    the warm start picks the same permutation as a solve from zero duals,
+    so the value is the same to the bit.  On tied inputs (lattices,
+    duplicated points) it can pick another optimal permutation, whose
+    mean differs in the last bits only.
 
     ``out``, when given, is a C-contiguous float64 (m, m) array that the
     assignment paths use as their cost matrix instead of allocating one,
-    as ``cdist``'s ``out=``; its contents on return are the matrix the
-    value was read from.  The sorted 1-D path leaves it untouched.
+    as ``cdist``'s ``out=``.  On return it holds the reduced costs of the
+    euclidean solve, or the weighted costs of the Harris solve.  The
+    sorted 1-D path leaves it untouched.
     """
     pa, pb = _batch_points(a), _batch_points(b)
     if pa.shape[0] != pb.shape[0]:
@@ -272,11 +274,12 @@ def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
         cost += 2.0
         cost[(pa[:, None, :] == pb[None, :, :]).all(axis=2)] = 0.0
         rows, cols = linear_sum_assignment(cost)
+        value = float(cost[rows, cols].mean())
     else:
         _warm_started_costs(pa, pb, cost)
         rows, cols = linear_sum_assignment(cost)
-        cdist(pa, pb, out=cost)
-    value = float(cost[rows, cols].mean())
+        diff = pa[rows] - pb[cols]
+        value = float(np.sqrt(_row_sums(diff * diff)).mean())
     return WassersteinEstimate(value, m, tag, "assignment")
 
 

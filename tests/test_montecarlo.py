@@ -177,22 +177,27 @@ def _continuous_case(rng, kind, m, dim):
         scales = rng.uniform(0.01, 10.0, size=dim)
         a = a * scales
         b = rng.normal(size=(m, dim)) * scales[::-1] + rng.uniform(0, 5)
+    elif kind == "iid":  # two independent draws from one law
+        b = rng.normal(size=(m, dim))
     else:  # a shuffled copy of the same set: W1 = 0
         b = a[rng.permutation(m)]
     return a, b
 
 
-@pytest.mark.parametrize("kind", ["mixed", "offset", "anisotropic", "shuffled"])
+@pytest.mark.parametrize("kind", ["mixed", "offset", "anisotropic", "iid", "shuffled"])
 def test_w1_warm_start_equals_plain_solver(kind):
-    # the dual start changes the solver's path, not its permutation, so
-    # the value is the plain solve's to the bit on continuous inputs
+    # the dual start changes the solver's path, not its permutation, and
+    # the matched distances are cdist's bits, so the value is the plain
+    # solve's to the bit on continuous inputs, with or without a buffer
     rng = np.random.Generator(np.random.PCG64(22))
-    for dim in (2, 3):
+    for dim in (2, 3, 5, 8):
         for m in (2, 3, 7, 64, 257, 600):
             a, b = _continuous_case(rng, kind, m, dim)
-            est = empirical_w1(a, b)
-            assert est.solver == "assignment"
-            assert est.value == plain_assignment_w1(a, b)
+            plain = plain_assignment_w1(a, b)
+            for out in (None, np.full((m, m), np.nan)):
+                est = empirical_w1(a, b, out=out)
+                assert est.solver == "assignment"
+                assert est.value == plain
             if kind == "shuffled":
                 assert est.value == 0.0
 
@@ -225,6 +230,57 @@ def test_w1_contraction_distances_equal_plain_solver(monkeypatch):
     assert fit.rate == plain.rate
 
 
+def test_w1_fills_each_cost_matrix_once_unless_the_mean_direction_wins(monkeypatch):
+    # the plain start costs one fill; only a mean-direction start whose dual
+    # value beats its bound refills, and the value needs no fill after a solve
+    events = []
+    fill, reduce = montecarlo.cdist, montecarlo._reduce_costs
+    solve = montecarlo.linear_sum_assignment
+
+    def counted_fill(*args, **kwargs):
+        events.append("fill")
+        return fill(*args, **kwargs)
+
+    def counted_reduce(cost, pa, pb, direction):
+        if direction is not None:
+            events.append("direction")
+        return reduce(cost, pa, pb, direction)
+
+    def counted_solve(cost):
+        events.append("solve")
+        return solve(cost)
+
+    monkeypatch.setattr(montecarlo, "cdist", counted_fill)
+    monkeypatch.setattr(montecarlo, "_reduce_costs", counted_reduce)
+    monkeypatch.setattr(montecarlo, "linear_sum_assignment", counted_solve)
+    plain, direction = ["fill"], ["fill", "direction", "fill"]
+
+    rng = np.random.Generator(np.random.PCG64(30))
+    m = 512
+    near = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
+    far = rng.normal(size=(m, 2)), rng.normal(size=(m, 2)) + 50.0 * np.array([0.6, 0.8])
+    for (a, b), start in ((near, plain), (far, direction)):
+        events.clear()
+        value = empirical_w1(a, b).value
+        assert events == start + ["solve"]
+        assert value == plain_assignment_w1(a, b)
+
+    # one worker, so the events of each solve are contiguous
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    spec = classical_spec()
+    reference = burn_in_sampler(spec, 256, 100, seed=23)
+    events.clear()
+    contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
+    *solves, tail = " ".join(events).split("solve")
+    starts = [segment.split() for segment in solves]
+    assert len(starts) == 31
+    assert tail == ""
+    assert all(start in (plain, direction) for start in starts)
+    assert events.count("fill") == 31 + events.count("direction")
+    # the near-stationary noise floor takes the plain start, the far steps not
+    assert starts[0] == plain and direction in starts
+
+
 def test_w1_harris_metric_equals_plain_solver():
     metric = HarrisMetricSpec(weight=0.5)
     rng = np.random.Generator(np.random.PCG64(25))
@@ -238,8 +294,8 @@ def test_w1_harris_metric_equals_plain_solver():
 
 
 def test_w1_assignment_holds_one_cost_matrix():
-    # the reduced costs are refilled with the distances after the solve,
-    # so a call holds one m x m array, never a second copy
+    # the starts reduce the costs in place and the value is read from the
+    # matched pairs, so a call holds one m x m array, never a second copy
     rng = np.random.Generator(np.random.PCG64(26))
     m = 1024
     a = rng.normal(size=(m, 2))
