@@ -21,9 +21,13 @@ batch and a region's lone row keep numpy's matrix-vector route.  Membership
 sums squares and halfspace products along each row from left to right, so
 ``step``, ``region_index`` and a batch put a point in the same region.
 
-Endpoint runs draw their noise in chunks cut by a fixed 2 MiB budget, so
-the library, not a config, fixes the batches; raising the budget from
-1 MiB moved no golden byte.
+Path runs (:func:`simulate_batch`) draw each trajectory's noise straight
+into its own rows of the path array and step the paths in place, adding
+each step's products to the noise already there, so no separate noise
+array is held.  Endpoint runs keep two contiguous state buffers and draw
+their noise in chunks cut by a fixed 2 MiB budget, so the library, not a
+config, fixes the batches; raising the budget from 1 MiB moved no golden
+byte.
 """
 
 from __future__ import annotations
@@ -257,19 +261,25 @@ def _pcg64_struct(bit_generator: np.random.PCG64) -> tuple[np.ndarray, bool]:
     raise RuntimeError("numpy's PCG64 state has an unknown memory layout")
 
 
-def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
-    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws.
+def _fill_standard_normals(out: np.ndarray, seeds: np.ndarray) -> None:
+    """Fill each ``out[i]`` with PCG64(seeds[i])'s first draws, in order.
 
-    One generator draws every row.  Before each row, that seed's state is
-    copied into the generator's ``pcg64_random_t`` (:func:`_pcg64_struct`),
-    which costs less than the ``state`` setter or a new PCG64.
+    ``out[i]`` must be C-contiguous; ``out`` itself need not be.  One
+    generator draws every row.  Before each row, that seed's state is copied
+    into the generator's ``pcg64_random_t`` (:func:`_pcg64_struct`), which
+    costs less than the ``state`` setter or a new PCG64.
     """
-    noise = np.empty((len(seeds), n_steps, dim))
     gen = np.random.Generator(np.random.PCG64(0))
     struct, high_first = _pcg64_struct(gen.bit_generator)
-    for row, limbs in zip(noise, _pcg64_states(seeds, high_first)):
+    for row, limbs in zip(out, _pcg64_states(seeds, high_first)):
         struct[...] = limbs
         gen.standard_normal(out=row)
+
+
+def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
+    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws."""
+    noise = np.empty((len(seeds), n_steps, dim))
+    _fill_standard_normals(noise, seeds)
     return noise
 
 
@@ -597,23 +607,17 @@ def _apply_matrices(
     return out
 
 
-def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray, states=None):
+def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Final states of the paths from ``x0v`` driven by (m, n_steps, dim) noise.
 
-    When ``states`` (m, n_steps + 1, dim) is given, step k's states are
-    also written to ``states[:, k]``.  Two state buffers and one product
-    scratch serve every step.
+    Two contiguous state buffers and one product scratch serve every step.
     """
     cur = np.tile(x0v, (noise.shape[0], 1))
     nxt, scratch = np.empty_like(cur), np.empty_like(cur)
-    if states is not None:
-        states[:, 0] = cur
     for k in range(noise.shape[1]):
         _apply_matrices(spec, cur, out=nxt, scratch=scratch)
         nxt += noise[:, k]
         cur, nxt = nxt, cur
-        if states is not None:
-            states[:, k + 1] = cur
     return cur
 
 
@@ -627,6 +631,11 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     routine, whose last bits can differ from the batch product.  Every seed
     must lie in [0, 2**64).
 
+    Each path's noise is drawn straight into its own rows ``states[i, 1:]``,
+    and each step adds the products into them in place: noise plus product
+    has the bits of product plus noise, and no separate noise array is held.
+    :func:`simulate_endpoints` keeps its 2 MiB noise chunks.
+
     Returns
     -------
     ndarray of shape (len(seeds), n_steps + 1, dim).
@@ -636,7 +645,12 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     x0v = _check_vector(x0, spec.dim, "x0")
     seeds = _seed_array(seeds)
     states = np.empty((len(seeds), n_steps + 1, spec.dim))
-    _run_steps(spec, x0v, _standard_normals(seeds, n_steps, spec.dim), states)
+    _fill_standard_normals(states[:, 1:], seeds)
+    states[:, 0] = x0v
+    prod, scratch = np.empty((2, len(seeds), spec.dim))
+    for k in range(n_steps):
+        _apply_matrices(spec, states[:, k], out=prod, scratch=scratch)
+        states[:, k + 1] += prod
     return states
 
 
@@ -652,10 +666,12 @@ def _endpoint_chunk(n_steps: int, dim: int) -> int:
 
 
 def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
-    """Final states of :func:`simulate_batch`, bit for bit, without the paths.
+    """Final states of :func:`simulate_batch`, without the paths.
 
     Trajectories run in chunks whose noise fits a fixed byte budget, so
-    memory stays bounded however many seeds are given.
+    memory stays bounded however many seeds are given.  The states are
+    :func:`simulate_batch`'s bit for bit in one dimension; from two on, a
+    trajectory alone in its chunk or region can differ in its last bits.
 
     Returns
     -------

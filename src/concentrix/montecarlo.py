@@ -72,8 +72,11 @@ class PrecisionError(RuntimeError):
     """Requested precision is unreachable within the sample budget."""
 
 
-# replications per average() call; bounds trajectory mode's (256, T+1, n) states
+# replications per average() call: iid mode's block, and the fewest of
+# trajectory mode, whose blocks grow while their (m, T+1, n) paths fit the
+# 2 MiB simulation budget, up to a cap that bounds peak memory
 _BLOCK = 256
+_TRAJECTORY_BLOCK_MAX = 512
 
 # derived-seed substream labels
 _STREAM_REPLICATION = 1
@@ -401,10 +404,21 @@ def _check_monte_carlo_target(target_samples: int) -> None:
         )
 
 
+def _trajectory_block(n_samples: int, dim: int) -> int:
+    """Replications per trajectory-mode block: as many paths as fit the budget.
+
+    A path of ``n_samples`` steps is as large as the noise of ``n_samples +
+    1``.  Long paths keep blocks of ``_BLOCK``; the cap bounds peak memory.
+    """
+    fits = _endpoint_chunk(n_samples + 1, dim)
+    return min(max(_BLOCK, fits), _TRAJECTORY_BLOCK_MAX)
+
+
 def _deviation_report(
     spec: SystemSpec,
     reward,
     average,
+    block: int,
     cert: ConcentrationCertificate,
     epsilons: tuple,
     replications: int,
@@ -419,11 +433,11 @@ def _deviation_report(
     """Run the replications of a deviation experiment and tabulate its tails.
 
     ``reward`` is a resolved (fn, lipschitz, tag) triple and ``average`` maps
-    a uint64 array of replication seeds to one average each.  An unsupplied
-    target is the mean reward of ``target_samples`` endpoints after
-    ``target_burn_in`` steps, recorded with ``target_details``.  Each epsilon
-    counts deviations beyond ``cert.bias + epsilon``, bounded by the tail
-    bound of ``cert``.
+    a uint64 array of at most ``block`` replication seeds to one average
+    each.  An unsupplied target is the mean reward of ``target_samples``
+    endpoints after ``target_burn_in`` steps, recorded with
+    ``target_details``.  Each epsilon counts deviations beyond ``cert.bias +
+    epsilon``, bounded by the tail bound of ``cert``.
     """
     reward_fn, lipschitz, tag = reward
     details = {
@@ -447,8 +461,8 @@ def _deviation_report(
     rep_stream = derive_seed(seed, _STREAM_REPLICATION)
     averages = np.concatenate(
         [
-            average(derive_seeds(rep_stream, lo, min(lo + _BLOCK, replications)))
-            for lo in range(0, replications, _BLOCK)
+            average(derive_seeds(rep_stream, lo, min(lo + block, replications)))
+            for lo in range(0, replications, block)
         ]
     )
     deviations = np.abs(averages - target_mean)
@@ -550,8 +564,8 @@ def deviation_probability_experiment(
         bias=bias,
     )
     return _deviation_report(
-        spec, reward, average, cert, epsilons, replications, seed,
-        target_mean, target_provenance, target_samples,
+        spec, reward, average, _trajectory_block(n_samples, n), cert, epsilons,
+        replications, seed, target_mean, target_provenance, target_samples,
         target_burn_in=bias_burn_in,
         target_details={"target_samples": target_samples},
         details={
@@ -630,7 +644,7 @@ def iid_deviation_experiment(
         constant=te_const, rate=0.0, n_samples=n_samples, lipschitz=lipschitz
     )
     return _deviation_report(
-        spec, reward, average, cert, epsilons, replications, seed,
+        spec, reward, average, _BLOCK, cert, epsilons, replications, seed,
         target_mean, target_provenance, target_samples,
         target_burn_in=2 * burn_in,
         target_details={"target_burn_in": 2 * burn_in},

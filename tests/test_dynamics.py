@@ -728,6 +728,45 @@ def test_pcg64_state_outside_its_bit_generator_raises():
             dynamics._pcg64_struct(MisplacedPCG64(0))
 
 
+def _simulate_batch_reference(spec, x0, n_steps, seeds):
+    """Paths stepped in contiguous copies, with the noise drawn as one array.
+
+    ``seeds`` is a uint64 array.
+    """
+    noise = dynamics._standard_normals(seeds, n_steps, spec.dim)
+    states = np.empty((len(seeds), n_steps + 1, spec.dim))
+    states[:, 0] = x0
+    cur = states[:, 0].copy()
+    for k in range(n_steps):
+        cur = dynamics._apply_matrices(spec, cur) + noise[:, k]
+        states[:, k + 1] = cur
+    return states
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_paths_stepped_in_place_equal_the_contiguous_reference(dim):
+    rng = np.random.default_rng(300 + dim)
+    for n_regions in (1, 2, 3):
+        # contractive enough that the paths visit every region for a while
+        mats = [0.9 * rng.normal(size=(dim, dim)) / np.sqrt(dim) for _ in range(n_regions)]
+        if n_regions == 1:
+            specs = [
+                SystemSpec.lds(mats[0]),
+                SystemSpec.slds([(Predicate(catch_all=True), mats[0])]),
+            ]
+        else:
+            preds = [_random_predicate(rng, dim) for _ in range(n_regions - 1)]
+            specs = [
+                SystemSpec.slds(list(zip(preds + [Predicate(catch_all=True)], mats)))
+            ]
+        for spec in specs:
+            for m in (1, 2, 7, 300):
+                x0 = rng.normal(scale=2.0, size=dim)
+                seeds = derive_seeds(int(rng.integers(2**63)), 0, m)
+                expected = _simulate_batch_reference(spec, x0, 25, seeds)
+                assert np.array_equal(simulate_batch(spec, x0, 25, seeds), expected)
+
+
 @pytest.mark.parametrize(
     "spec, x0",
     [
@@ -742,12 +781,27 @@ def test_pcg64_state_outside_its_bit_generator_raises():
             ),
             [-3.0, 0.5],
         ),
+        # linear, so no region holds a lone row
+        (
+            SystemSpec.lds([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]),
+            [2.0, -1.0, 0.5],
+        ),
+        (
+            SystemSpec.lds(
+                0.5 * np.eye(8) + 0.05 * np.eye(8, k=1) - 0.03 * np.eye(8, k=-2)
+            ),
+            np.linspace(-1.0, 1.0, 8),
+        ),
     ],
 )
 @pytest.mark.parametrize("n_steps", [0, 1, 17])
 def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypatch):
-    # a budget of three trajectories per chunk leaves a partial last chunk
-    budget = 3 * max(1, n_steps * spec.dim * 8)
+    # a budget of three trajectories per chunk leaves a partial last chunk;
+    # from three dimensions on, numpy's product of a lone row can round
+    # differently from the same row in a batch, so there four per chunk
+    # leave a last chunk of two
+    per_chunk = 3 if spec.dim < 3 else 4
+    budget = per_chunk * max(1, n_steps * spec.dim * 8)
     monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", budget)
     seeds = derive_seeds(5, 0, 10)
     endpoints = simulate_endpoints(spec, x0, n_steps, seeds)
@@ -766,6 +820,18 @@ def test_simulate_endpoints_holds_one_noise_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * dynamics._NOISE_BUDGET_BYTES
+
+
+def test_simulate_batch_holds_one_path_array():
+    # the noise is drawn into the paths, so no second array of their size exists
+    seeds = derive_seeds(2, 0, 512)
+    tracemalloc.start()
+    try:
+        states = simulate_batch(SystemSpec.lds([[0.5]]), [0.0], 200, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * states.nbytes
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

@@ -2,9 +2,10 @@
 
 Every seeded output is meant to be reproducible across releases, and speed
 work on the simulation path must not move a single byte.  These hashes pin
-four pipelines end to end, the iid pipeline on two switched systems.  A change that alters seeded output on purpose
-(for example a different noise generator) updates the hashes here and says
-so in CHANGES.md.
+four pipelines end to end: trajectory mode in one and two dimensions, the
+iid pipeline on two switched systems.  A change that alters seeded output
+on purpose (for example a different noise generator) updates the hashes
+here and says so in CHANGES.md.
 """
 
 import hashlib
@@ -59,6 +60,25 @@ CONFIGS = {
         },
         0,
         "f509bc986d873950789da8bdf87469543632e838e20c5a7e58ca2f97f4b20af4",
+    ),
+    # non-normal 2-D system over more than one replication block: from two
+    # dimensions on, states depend on the batch a path is stepped in
+    "trajectory-lds-2d": (
+        {
+            "pipeline": "verify-deviation",
+            "system": {"type": "lds", "A": [[0.5, 0.3], [0.0, 0.4]]},
+            "seed": 17,
+            "params": {
+                "mode": "trajectory",
+                "reward": "norm",
+                "x0": [1.0, 0.0],
+                "n_samples": 60,
+                "replications": 600,
+                "epsilons": [0.1, 0.3],
+            },
+        },
+        0,
+        "d4dab3e65ff5945fd3606a9de9cb3430376ba6b3a794186ed849984681200b60",
     ),
     "iid-slds": (
         {

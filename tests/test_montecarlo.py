@@ -500,6 +500,31 @@ def test_deviation_rerun_bit_identical():
     )
 
 
+@pytest.mark.parametrize(
+    "a, x0, n_samples, replications, blocks",
+    [
+        # 512 paths of 201 states fit the 2 MiB budget; 5,000 are ten blocks
+        ([[0.5]], [0.0], 200, 5000, [512] * 9 + [392]),
+        # 2,001 2-D states leave room for 65 paths: long paths keep blocks of 256
+        ([[0.5, 0.3], [0.0, 0.4]], [1.0, 0.0], 2000, 600, [256, 256, 88]),
+    ],
+)
+def test_trajectory_blocks_fill_the_simulation_budget(
+    a, x0, n_samples, replications, blocks, monkeypatch
+):
+    sizes = []
+
+    def counted_batch(spec, x0, n_steps, seeds):
+        sizes.append(len(seeds))
+        return simulate_batch(spec, x0, n_steps, seeds)
+
+    monkeypatch.setattr(montecarlo, "simulate_batch", counted_batch)
+    deviation_probability_experiment(
+        SystemSpec.lds(a), "norm", x0, n_samples, [0.5], replications, seed=3
+    )
+    assert sizes == blocks
+
+
 def test_deviation_report_fields_consistent():
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
