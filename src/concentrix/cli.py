@@ -179,6 +179,20 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
 
+    # scipy.optimize and scipy.spatial are imported where they are called; a
+    # run that can reach an LP, an assignment solve or a hull imports them
+    # here, so that start-up and not the experiment's wall time pays for them
+    if system is not None and (
+        system.kind == "slds"
+        or system.dim > 1
+        and (
+            pipeline == "contraction"
+            or pipeline == "verify-deviation" and params.get("mode") == "iid"
+        )
+    ):
+        import scipy.optimize
+        import scipy.spatial
+
     out = Path(raw["out"]) if "out" in raw else None
     return ExperimentConfig(
         pipeline=pipeline, system=system, params=params, seed=seed, out=out

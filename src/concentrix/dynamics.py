@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "HypothesisError",
@@ -556,6 +555,14 @@ def step(spec: SystemSpec, x, noise) -> np.ndarray:
     return spec.matrix_for(xv) @ xv + nv
 
 
+def _batch_product(pts: np.ndarray, mat_t: np.ndarray, out: np.ndarray) -> None:
+    """``pts @ mat_t`` into ``out``; a 1-D batch takes the scalar multiply."""
+    if mat_t.shape == (1, 1):
+        np.multiply(pts, mat_t[0, 0], out=out)
+    else:
+        np.matmul(pts, mat_t, out=out)
+
+
 def _apply_matrices(
     spec: SystemSpec, pts: np.ndarray, out=None, scratch=None
 ) -> np.ndarray:
@@ -571,14 +578,16 @@ def _apply_matrices(
     a lone row with a matrix-vector routine that rounds differently from the
     batch product, so a one-row batch, and a region that holds exactly one
     row, take that row's product alone as ``row @ A.T``, as a gathered
-    one-row product would; seeded outputs rely on those bits.
+    one-row product would; seeded outputs rely on those bits.  In one
+    dimension a batch is multiplied by the scalar, which gives ``matmul``'s
+    values at a fraction of its cost; only the sign of a zero can differ.
     """
     if out is None:
         out = np.empty(pts.shape)
     if len(pts) == 1:
         out[...] = pts @ spec.matrix_for(pts[0]).T
         return out
-    np.matmul(pts, spec.transposes[-1], out=out)
+    _batch_product(pts, spec.transposes[-1], out)
     if len(spec.matrices) == 1:
         return out
     if scratch is None:
@@ -598,7 +607,7 @@ def _apply_matrices(
             free ^= mask
         count = np.count_nonzero(mask)
         if count > 1:
-            np.matmul(pts, mat_t, out=scratch)
+            _batch_product(pts, mat_t, scratch)
             np.copyto(out_rows, scratch_rows, where=mask[:, None])
         elif count == 1:
             out[mask] = pts[mask] @ mat.T
@@ -761,6 +770,8 @@ def _region_contained_in_ball(pred: Predicate, radius: float, dim: int) -> bool:
         return True
     if not pred.halfspaces:
         return False
+    from scipy.optimize import linprog
+
     normals = np.array([normal for normal, _ in pred.halfspaces]).reshape(-1, dim)
     offsets = np.array([offset for _, offset in pred.halfspaces])
     caps = np.zeros(dim)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .dynamics import (
     HypothesisError,
@@ -459,6 +458,8 @@ def _hull_band(mus: np.ndarray, box: tuple) -> np.ndarray:
     delta = _HULL_BAND * scale
     if mus.shape[1] == 1:
         return mus[_end_bands(mus[:, 0], delta)]
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(mus)
     except QhullError:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 from scipy.special import betaincinv, ellipe
 
 from . import __version__
@@ -184,6 +182,8 @@ def _reduce_costs(cost, pa, pb, direction) -> float:
     assignments.  Returns the dual lower bound sum f + sum g + sum of the
     minima.
     """
+    from scipy.spatial.distance import cdist
+
     cdist(pa, pb, out=cost)
     bound = 0.0
     if direction is not None:
@@ -267,6 +267,8 @@ def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
         tag = "euclidean"
     else:
         raise ValueError(f"unknown metric: {metric!r}")
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.empty((m, m)) if out is None else out
     if cost.shape != (m, m) or cost.dtype != np.float64 or not cost.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 ({m}, {m}) array")

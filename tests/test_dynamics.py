@@ -297,6 +297,28 @@ def test_region_dispatch_equals_gather_scatter_reference(dim):
         )
 
 
+@pytest.mark.parametrize("a", [0.5, -0.5, 0.0, -0.0, 1e-300, -3.0])
+def test_one_dimensional_step_equals_matmul(a):
+    # the 1-D step multiplies by the scalar; matmul's values must come out,
+    # and where the bits differ both are zeros of opposite sign
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(512, 1))
+    pts[::5] = 0.0
+    pts[1::5] = -0.0
+    pts[[2, 3, 4, 6], 0] = 5e-324, -5e-324, 1e300, -1e300
+    lds = SystemSpec.lds([[a]])
+    switched = SystemSpec.slds(
+        [(Predicate(halfspaces=(((1.0,), 0.0),)), [[a]]), (Predicate(catch_all=True), [[-a]])]
+    )
+    for spec in (lds, switched):
+        for m in (2, 3, 512):
+            got = dynamics._apply_matrices(spec, pts[:m])
+            expected = _apply_matrices_reference(spec, pts[:m])
+            assert np.array_equal(got, expected)
+            moved = got.view(np.uint64) != expected.view(np.uint64)
+            assert (got[moved] == 0.0).all()
+
+
 # ---------------------------------------------------------------- spectral norm
 
 

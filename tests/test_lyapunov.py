@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -456,9 +457,9 @@ def test_hull_band_of_collinear_points_keeps_the_two_ends(monkeypatch):
         assert (kept == mus[end]).all(axis=1).any()
     # points off one line are all kept when Qhull raises for another reason
     def no_hull(points):
-        raise lyapunov.QhullError("forced")
+        raise scipy.spatial.QhullError("forced")
 
-    monkeypatch.setattr(lyapunov, "ConvexHull", no_hull)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
     full_rank = _apply_matrices(SystemSpec.lds([[0.5, 0.1], [-0.1, 0.5]]), xs)
     assert len(lyapunov._hull_band(full_rank, box)) == len(full_rank)
 

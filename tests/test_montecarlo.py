@@ -234,8 +234,8 @@ def test_w1_fills_each_cost_matrix_once_unless_the_mean_direction_wins(monkeypat
     # the plain start costs one fill; only a mean-direction start whose dual
     # value beats its bound refills, and the value needs no fill after a solve
     events = []
-    fill, reduce = montecarlo.cdist, montecarlo._reduce_costs
-    solve = montecarlo.linear_sum_assignment
+    fill, reduce = cdist, montecarlo._reduce_costs
+    solve = linear_sum_assignment
 
     def counted_fill(*args, **kwargs):
         events.append("fill")
@@ -250,9 +250,9 @@ def test_w1_fills_each_cost_matrix_once_unless_the_mean_direction_wins(monkeypat
         events.append("solve")
         return solve(cost)
 
-    monkeypatch.setattr(montecarlo, "cdist", counted_fill)
+    monkeypatch.setattr("scipy.spatial.distance.cdist", counted_fill)
     monkeypatch.setattr(montecarlo, "_reduce_costs", counted_reduce)
-    monkeypatch.setattr(montecarlo, "linear_sum_assignment", counted_solve)
+    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", counted_solve)
     plain, direction = ["fill"], ["fill", "direction", "fill"]
 
     rng = np.random.Generator(np.random.PCG64(30))

@@ -1,5 +1,6 @@
 """Package-level facts: the import floor and the version string."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,14 +14,119 @@ from concentrix import cli, montecarlo
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# imported only by the runs that can reach an LP, an assignment solve or a hull
+DEFERRED = ("scipy.optimize", "scipy.spatial")
+
+SWITCHED = {
+    "type": "slds",
+    "regions": [
+        {"predicate": {"ball_le": 1.0}, "A": [[1.0, 0.0], [0.0, 1.0]]},
+        {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
+    ],
+}
+PLANE = {"type": "lds", "A": [[0.5, 0.1], [-0.1, 0.5]]}
+LINE = {"type": "lds", "A": [[0.5]]}
+
+
+def run_probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def loaded(names) -> str:
+    """Probe code that prints which of ``names`` are in ``sys.modules``."""
+    return f"import sys; print([n for n in {list(names)!r} if n in sys.modules])"
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # importing scipy.stats adds about 0.6 s and 20 MB to every start-up
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     probe = "import sys, concentrix.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert run_probe(probe) == "False"
+
+
+def test_cli_import_does_not_load_optimize_or_spatial():
+    # together about 0.25 s and 17 MB of start-up that a linear run never uses
+    assert run_probe("import concentrix.cli\n" + loaded(DEFERRED)) == "[]"
+
+
+def test_one_dimensional_trajectory_run_does_not_load_optimize_or_spatial(tmp_path):
+    config = {
+        "pipeline": "verify-deviation",
+        "system": LINE,
+        "seed": 42,
+        "params": {
+            "mode": "trajectory",
+            "reward": "norm",
+            "x0": [0.0],
+            "n_samples": 40,
+            "replications": 200,
+            "epsilons": [0.3, 0.6],
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+    probe = (
+        "import contextlib, io\n"
+        "from concentrix import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "assert code == 0, code\n" + loaded(DEFERRED)
     )
-    assert out.stdout.strip() == "False"
+    assert run_probe(probe) == "[]"
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, system, params, warmed",
+    [
+        ("verify-lyapunov", SWITCHED, {}, True),
+        ("certify", SWITCHED, {}, True),
+        ("contraction", PLANE, {}, True),
+        ("verify-deviation", PLANE, {"mode": "iid"}, True),
+        ("contraction", LINE, {}, False),
+        ("verify-deviation", LINE, {"mode": "iid"}, False),
+        ("verify-deviation", PLANE, {"mode": "trajectory"}, False),
+        ("verify-deviation", PLANE, {}, False),
+        ("sweep", None, {}, False),
+    ],
+)
+def test_load_config_imports_what_the_run_can_reach(tmp_path, pipeline, system, params, warmed):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"pipeline": pipeline, "system": system, "params": params, "seed": 1})
+    )
+    probe = f"from concentrix import cli\ncli.load_config({str(path)!r})\n" + loaded(DEFERRED)
+    assert run_probe(probe) == (str(list(DEFERRED)) if warmed else "[]")
+
+
+def test_deferred_imports_resolve_after_a_plain_package_import():
+    probe = """
+import sys
+import numpy as np
+import concentrix
+from concentrix import Predicate, SystemSpec
+
+assert not any(n in sys.modules for n in %r)
+rng = np.random.Generator(np.random.PCG64(5))
+w1 = concentrix.empirical_w1(rng.normal(size=(16, 2)), rng.normal(size=(16, 2)))
+assert w1.solver == "assignment" and w1.value > 0.0
+box = tuple((n, 0.7) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+spec = SystemSpec.slds([
+    (Predicate(halfspaces=box), np.eye(2)),
+    (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+])
+report = concentrix.check_slds_hypothesis(spec, 1.0, 0.6, 1.0)
+assert [c.classification for c in report.regions] == ["bounded", "contractive"], report
+beta = concentrix.minorization_beta(spec, 1.0, (-6.0, 6.0), resolution=20)
+assert 0.0 < beta.mass <= 1.0
+print(all(n in sys.modules for n in %r))
+""" % (DEFERRED, DEFERRED)
+    assert run_probe(probe) == "True"
 
 
 def test_pyproject_version_is_package_version():
