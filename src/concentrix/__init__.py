@@ -10,7 +10,7 @@ declarative JSON config.
 """
 
 # set before the submodule imports: ``montecarlo`` stamps it into reports
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .dynamics import (
     HypothesisError,
@@ -32,11 +32,9 @@ from .lyapunov import (
     DriftPair,
     ExpLyapunovCertificate,
     GeometricDriftCertificate,
-    HarrisMetricSpec,
     InvalidAlphaError,
     drift_from_exp_lyapunov,
     empirical_drift_check,
-    harris_distance,
     minorization_beta,
     slds_exp_lyapunov,
     slds_geometric_drift,
@@ -105,11 +103,9 @@ __all__ = [
     "DriftPair",
     "ExpLyapunovCertificate",
     "GeometricDriftCertificate",
-    "HarrisMetricSpec",
     "InvalidAlphaError",
     "drift_from_exp_lyapunov",
     "empirical_drift_check",
-    "harris_distance",
     "minorization_beta",
     "slds_exp_lyapunov",
     "slds_geometric_drift",

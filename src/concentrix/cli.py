@@ -25,6 +25,7 @@ from .dynamics import (
     derive_seed,
     system_digest,
     system_from_dict,
+    system_to_dict,
 )
 from .lyapunov import (
     drift_from_exp_lyapunov,
@@ -35,7 +36,6 @@ from .lyapunov import (
 )
 from .montecarlo import (
     NoSignalError,
-    PrecisionError,
     _check_contraction,
     _code_version,
     burn_in_sampler,
@@ -108,8 +108,6 @@ class ExperimentConfig:
     out: Path | None = None
 
     def canonical_dict(self) -> dict:
-        from .dynamics import system_to_dict
-
         return {
             "pipeline": self.pipeline,
             "system": system_to_dict(self.system) if self.system else None,
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
         _write_csv(out_dir / "sweep.csv", result["columns"], result["rows"])
         print(f"sweep written to {path}")
         return 0
-    except (NoSignalError, PrecisionError) as exc:
+    except NoSignalError as exc:
         print(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}), end="")
         return 1
     except (ValueError, OverflowError) as exc:

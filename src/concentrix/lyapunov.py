@@ -6,9 +6,8 @@ The chain runs: an exponential moment condition on the transition kernel
 ``W(x) = exp(alpha ||x||^2)``, and from the drift pair a transport-entropy
 constant for the stationary law plus n-step moment bounds.  Alongside the
 exponential route live the classical ingredients of Harris-style mixing:
-geometric drift for ``V(x) = ||x||``, a quadrature lower bound for the
-minorization mass on a small set, and the weighted point metric used to
-state Wasserstein contraction for such chains.
+geometric drift for ``V(x) = ||x||`` and a quadrature lower bound for the
+minorization mass on a small set.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "ExpLyapunovCertificate",
     "DriftPair",
     "GeometricDriftCertificate",
-    "HarrisMetricSpec",
     "MinorizationEstimate",
     "DriftPoint",
     "DriftCheckReport",
@@ -47,7 +45,6 @@ __all__ = [
     "slds_geometric_drift",
     "empirical_drift_check",
     "minorization_beta",
-    "harris_distance",
 ]
 
 
@@ -134,7 +131,6 @@ class GeometricDriftCertificate:
 
     contraction: float
     offset: float
-    lyapunov: str = "euclidean_norm"
 
     def __post_init__(self):
         if not (0.0 <= self.contraction < 1.0):
@@ -147,20 +143,8 @@ class GeometricDriftCertificate:
             "kind": "geometric_drift",
             "contraction": self.contraction,
             "offset": self.offset,
-            "lyapunov": self.lyapunov,
+            "lyapunov": "euclidean_norm",
         }
-
-
-@dataclass(frozen=True)
-class HarrisMetricSpec:
-    """Weighted point metric ``d(x,y) = 2 + w V(x) + w V(y)`` off-diagonal."""
-
-    weight: float = 1.0
-    lyapunov: str = "euclidean_norm"
-
-    def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -364,7 +348,6 @@ def empirical_drift_check(
     x_grid,
     samples_per_point: int,
     seed: int,
-    lyapunov: str = "euclidean_norm",
     certificate: GeometricDriftCertificate | None = None,
 ) -> DriftCheckReport:
     """Estimate the one-step drift of ``V(x) = ||x||`` on a grid of states.
@@ -376,8 +359,6 @@ def empirical_drift_check(
     skips the fit.  When a certificate is supplied, points whose estimate
     exceeds its drift line by more than three standard errors are flagged.
     """
-    if lyapunov != "euclidean_norm":
-        raise ValueError(f"unsupported Lyapunov tag: {lyapunov!r}")
     if samples_per_point < 1000:
         raise ValueError("need at least 1000 samples per grid point")
     points = []
@@ -561,14 +542,3 @@ def minorization_beta(
         truncation=box,
         resolution=resolution,
     )
-
-
-def harris_distance(metric: HarrisMetricSpec, x, y) -> float:
-    """Weighted point metric: 0 at exact equality, else ``2 + w||x|| + w||y||``."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != yv.shape:
-        raise ValueError("points must share a dimension")
-    if np.array_equal(xv, yv):
-        return 0.0
-    return 2.0 + metric.weight * (float(np.linalg.norm(xv)) + float(np.linalg.norm(yv)))

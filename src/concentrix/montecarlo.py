@@ -28,14 +28,15 @@ from .dynamics import (
     derive_seeds,
     simulate_batch,
     simulate_endpoints,
+    spectral_norm,
     system_digest,
 )
-from .lyapunov import HarrisMetricSpec
 from .transport import (
     ConcentrationCertificate,
     NotContractiveError,
     _psd_sqrt,
     bias_term,
+    correlation_bound,
     gaussian_w2,
     lds_certificate,
     trajectory_deviation_bound,
@@ -150,17 +151,7 @@ class WassersteinEstimate:
 
     value: float
     size: int
-    metric: str  # "euclidean" | "harris"
     solver: str  # "sorted_1d" | "assignment"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "empirical_w1",
-            "value": self.value,
-            "size": self.size,
-            "metric": self.metric,
-            "solver": self.solver,
-        }
 
 
 def _batch_points(batch) -> np.ndarray:
@@ -220,17 +211,15 @@ def _warm_started_costs(pa, pb, cost) -> None:
         _reduce_costs(cost, pa, pb, shift / norm)
 
 
-def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
-    """Exact empirical W1 between two equal-size point sets.
+def empirical_w1(a, b, *, out=None) -> WassersteinEstimate:
+    """Exact empirical euclidean W1 between two equal-size point sets.
 
     Batches are (m, n) arrays or :class:`SampleBatch` es of finite points.
-    One-dimensional euclidean inputs take the sorted-matching fast path,
-    which provably equals the optimal assignment; everything else solves
-    the full assignment problem (size capped at 1024).  ``metric`` is
-    either "euclidean" or a :class:`HarrisMetricSpec` for the weighted
-    point metric.
+    One-dimensional inputs take the sorted-matching fast path, which
+    provably equals the optimal assignment; everything else solves the
+    full assignment problem (size capped at 1024).
 
-    The euclidean assignment starts the solver from dual potentials (see
+    The assignment starts the solver from dual potentials (see
     :func:`_warm_started_costs`), which makes the solves far from the
     reference several times faster.  The value is the mean of the m
     matched distances, each the root of its squared differences summed
@@ -241,10 +230,9 @@ def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
     mean differs in the last bits only.
 
     ``out``, when given, is a C-contiguous float64 (m, m) array that the
-    assignment paths use as their cost matrix instead of allocating one,
-    as ``cdist``'s ``out=``.  On return it holds the reduced costs of the
-    euclidean solve, or the weighted costs of the Harris solve.  The
-    sorted 1-D path leaves it untouched.
+    assignment path uses as its cost matrix instead of allocating one, as
+    ``cdist``'s ``out=``.  On return it holds the reduced costs of the
+    solve.  The sorted 1-D path leaves it untouched.
     """
     pa, pb = _batch_points(a), _batch_points(b)
     if pa.shape[0] != pb.shape[0]:
@@ -258,34 +246,19 @@ def empirical_w1(a, b, metric="euclidean", *, out=None) -> WassersteinEstimate:
     m = pa.shape[0]
     if m > 1024:
         raise ValueError("batch size exceeds the 1024 assignment cap; subsample first")
-    if isinstance(metric, HarrisMetricSpec):
-        tag = "harris"
-    elif metric == "euclidean":
-        if pa.shape[1] == 1:
-            value = float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
-            return WassersteinEstimate(value, m, "euclidean", "sorted_1d")
-        tag = "euclidean"
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
+    if pa.shape[1] == 1:
+        value = float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
+        return WassersteinEstimate(value, m, "sorted_1d")
     from scipy.optimize import linear_sum_assignment
 
     cost = np.empty((m, m)) if out is None else out
     if cost.shape != (m, m) or cost.dtype != np.float64 or not cost.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 ({m}, {m}) array")
-    if tag == "harris":
-        # 2 + w (|x| + |y|), elementwise in the same order as a fresh expression
-        np.add.outer(np.linalg.norm(pa, axis=1), np.linalg.norm(pb, axis=1), out=cost)
-        cost *= metric.weight
-        cost += 2.0
-        cost[(pa[:, None, :] == pb[None, :, :]).all(axis=2)] = 0.0
-        rows, cols = linear_sum_assignment(cost)
-        value = float(cost[rows, cols].mean())
-    else:
-        _warm_started_costs(pa, pb, cost)
-        rows, cols = linear_sum_assignment(cost)
-        diff = pa[rows] - pb[cols]
-        value = float(np.sqrt(_row_sums(diff * diff)).mean())
-    return WassersteinEstimate(value, m, tag, "assignment")
+    _warm_started_costs(pa, pb, cost)
+    rows, cols = linear_sum_assignment(cost)
+    diff = pa[rows] - pb[cols]
+    value = float(np.sqrt(_row_sums(diff * diff)).mean())
+    return WassersteinEstimate(value, m, "assignment")
 
 
 def burn_in_sampler(
@@ -721,7 +694,6 @@ def contraction_rate_fit(
     n_max: int,
     per_step: int,
     reference: SampleBatch,
-    metric="euclidean",
     seed: int = 0,
 ) -> ContractionFit:
     """Estimate the Wasserstein contraction rate towards a reference batch.
@@ -759,7 +731,7 @@ def contraction_rate_fit(
         _cpu_count(), len(pairs), max(1, _COST_BUDGET_BYTES // (8 * per_step * per_step))
     )
     # empirical_w1's sorted 1-D path needs no cost matrix
-    sorted_1d = metric == "euclidean" and ref.shape[1] == 1
+    sorted_1d = ref.shape[1] == 1
     buffers = queue.SimpleQueue()
     for _ in range(workers):
         buffers.put(None if sorted_1d else np.empty((per_step, per_step)))
@@ -768,7 +740,7 @@ def contraction_rate_fit(
         # a worker runs one solve at a time, so a buffer is always free
         cost = buffers.get()
         try:
-            return empirical_w1(*pair, metric, out=cost).value
+            return empirical_w1(*pair, out=cost).value
         finally:
             buffers.put(cost)
 
@@ -861,8 +833,6 @@ def empirical_autocovariance(
         batches = prod[: nb * width].reshape(nb, width).mean(axis=1)
         stderrs.append(float(batches.std(ddof=1) / math.sqrt(nb)))
         if constant is not None and rate is not None and lipschitz is not None:
-            from .transport import correlation_bound
-
             bounds.append(correlation_bound(constant, rate, lipschitz, k))
     return AutocovarianceReport(
         lags=tuple(range(max_lag + 1)),
@@ -884,8 +854,6 @@ def lds_stationary_covariance(a) -> np.ndarray:
             raise ValueError("stationary covariance solver expects a linear system")
         a = a.matrices[0]
     a = np.asarray(a, dtype=float)
-    from .dynamics import spectral_norm
-
     if spectral_norm(a) >= 1.0:
         raise NotContractiveError("matrix 2-norm must be strictly below 1")
     return solve_discrete_lyapunov(a, np.eye(a.shape[0]))
@@ -949,12 +917,21 @@ def stationary_mean_reward(
 
     Raises
     ------
+    ValueError
+        If ``sample_budget`` or a SampleBatch target holds fewer than two
+        samples, too few for an interval.
     PrecisionError
         If the CLT 99% half-width still exceeds ``precision`` after the
         full sample budget.
     """
+    if sample_budget < 2:
+        raise ValueError(f"sample_budget must be at least 2, got {sample_budget}")
     reward_fn, _, tag = _resolve_reward(reward)
     if isinstance(target, SampleBatch):
+        if len(target) < 2:
+            raise ValueError(
+                f"a sample batch target needs at least 2 points, got {len(target)}"
+            )
         vals, method = reward_fn(target.points), "burn_in_monte_carlo"
     else:
         if isinstance(target, SystemSpec):

@@ -43,30 +43,25 @@ class NotContractiveError(ValueError):
 
 @dataclass(frozen=True)
 class T1Certificate:
-    """Transport-entropy constant for one measure or kernel.
+    """Transport-entropy constant for one measure or kernel, in euclidean W1.
 
     Attributes
     ----------
     constant : float
         The transport constant; must be positive.
-    metric : str
-        Metric the certificate is stated in ("euclidean" or "harris").
     """
 
     constant: float
-    metric: str = "euclidean"
 
     def __post_init__(self):
         if not self.constant > 0:
             raise ValueError("transport constant must be positive")
-        if self.metric not in ("euclidean", "harris"):
-            raise ValueError(f"unknown metric tag: {self.metric!r}")
 
     def to_dict(self) -> dict:
         return {
             "kind": "transport_entropy",
             "constant": self.constant,
-            "metric": self.metric,
+            "metric": "euclidean",
         }
 
 

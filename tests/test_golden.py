@@ -1,9 +1,11 @@
-"""Golden report bytes: small seeded CLI runs whose report.json is pinned.
+"""Golden output bytes: small seeded CLI runs whose JSON output is pinned.
 
 Every seeded output is meant to be reproducible across releases, and speed
 work on the simulation path must not move a single byte.  These hashes pin
-four pipelines end to end: trajectory mode in one and two dimensions, the
-iid pipeline on two switched systems.  A change that alters seeded output
+every pipeline end to end: trajectory mode in one and two dimensions, the
+iid pipeline on two switched systems, the contraction fit, the drift
+check, the certificates of a linear and of a switched system, and an
+``alpha`` sweep.  A change that alters seeded output
 on purpose (for example a different noise generator) updates the hashes
 here and says so in CHANGES.md.
 """
@@ -43,6 +45,7 @@ HYPOTHESIS = {"radius": 1.0, "contraction": 0.6, "lipschitz": 1.0}
 
 CONFIGS = {
     "trajectory-lds": (
+        "verify",
         {
             "pipeline": "verify-deviation",
             "system": {"type": "lds", "A": [[0.5]]},
@@ -64,6 +67,7 @@ CONFIGS = {
     # non-normal 2-D system over more than one replication block: from two
     # dimensions on, states depend on the batch a path is stepped in
     "trajectory-lds-2d": (
+        "verify",
         {
             "pipeline": "verify-deviation",
             "system": {"type": "lds", "A": [[0.5, 0.3], [0.0, 0.4]]},
@@ -81,6 +85,7 @@ CONFIGS = {
         "d4dab3e65ff5945fd3606a9de9cb3430376ba6b3a794186ed849984681200b60",
     ),
     "iid-slds": (
+        "verify",
         {
             "pipeline": "verify-deviation",
             "system": SLDS_2D,
@@ -102,6 +107,7 @@ CONFIGS = {
         "32691d7885ccf19fea6c348a58c2cfcdd9c1ae6ac9f6a8a7094d330c4bbea4ab",
     ),
     "iid-slds-3-regions": (
+        "verify",
         {
             "pipeline": "verify-deviation",
             "system": SLDS_3_REGIONS,
@@ -122,6 +128,7 @@ CONFIGS = {
         "23008c523e247cc179a2ce9b303534466f58ab8c8601c61bd3ef54262bfa735c",
     ),
     "contraction": (
+        "verify",
         {
             "pipeline": "contraction",
             "system": SLDS_2D,
@@ -137,6 +144,7 @@ CONFIGS = {
         "ae2b2e0b6e585a5a47123e1b5dd87cb2f977e43aec3a58bacde7412487143021",
     ),
     "verify-lyapunov": (
+        "verify",
         {
             "pipeline": "verify-lyapunov",
             "system": SLDS_2D,
@@ -150,7 +158,42 @@ CONFIGS = {
         0,
         "0634e8c6c18967c9d1f88a3751cef39cebb09cb5719c9512ed15da5bd3aefe96",
     ),
+    "certify-lds": (
+        "certify",
+        {
+            "pipeline": "certify",
+            "system": {"type": "lds", "A": [[0.5, 0.3], [0.0, 0.4]]},
+            "seed": 1,
+            "params": {"n_samples": 100, "epsilons": [0.1, 0.5, 1.0]},
+        },
+        0,
+        "8902a0038d6c888bdd92f55083886c842833e2e2a3bfaf75ea284d7fd795cd51",
+    ),
+    "certify-slds": (
+        "certify",
+        {
+            "pipeline": "certify",
+            "system": SLDS_2D,
+            "seed": 1,
+            "params": {"alpha": 0.25, **HYPOTHESIS},
+        },
+        0,
+        "cd766440f1fd9c37b9a53f60191c8d8d4524f08e9c413c297a795a2f30c69569",
+    ),
+    "sweep-alpha": (
+        "sweep",
+        {
+            "pipeline": "sweep",
+            "system": SLDS_2D,
+            "seed": 1,
+            "params": {"variable": "alpha", "grid": [0.1, 0.2, 0.25, 0.3], **HYPOTHESIS},
+        },
+        0,
+        "8cdf9d872d1389e2c0398953328fb5499baa742272c81b44956678184c1c6f8a",
+    ),
 }
+# the file each CLI command writes
+OUTPUT = {"certify": "certificate.json", "verify": "report.json", "sweep": "sweep.json"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -159,9 +202,9 @@ def test_report_bytes_are_pinned(name, tmp_path, monkeypatch):
     # hash depends on the code alone
     monkeypatch.setattr(cli, "_code_version", lambda: "golden")
     monkeypatch.setattr(montecarlo, "_code_version", lambda: "golden")
-    config, exit_code, digest = CONFIGS[name]
+    command, config, exit_code, digest = CONFIGS[name]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == exit_code
-    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == exit_code
+    assert hashlib.sha256((out / OUTPUT[command]).read_bytes()).hexdigest() == digest

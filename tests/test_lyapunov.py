@@ -6,8 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import norm
 
 from concentrix import lyapunov
@@ -17,12 +15,10 @@ from concentrix.lyapunov import (
     DriftPair,
     ExpLyapunovCertificate,
     GeometricDriftCertificate,
-    HarrisMetricSpec,
     InvalidAlphaError,
     UnsupportedDimensionError,
     drift_from_exp_lyapunov,
     empirical_drift_check,
-    harris_distance,
     minorization_beta,
     n_step_te_coefficient,
     n_step_w_bound,
@@ -462,30 +458,3 @@ def test_hull_band_of_collinear_points_keeps_the_two_ends(monkeypatch):
     monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
     full_rank = _apply_matrices(SystemSpec.lds([[0.5, 0.1], [-0.1, 0.5]]), xs)
     assert len(lyapunov._hull_band(full_rank, box)) == len(full_rank)
-
-
-# ---------------------------------------------------------------- harris metric
-
-
-def test_harris_distance_values():
-    metric = HarrisMetricSpec()
-    assert harris_distance(metric, [0.0], [0.0]) == 0.0
-    assert harris_distance(metric, [0.0], [1.0]) == pytest.approx(3.0)
-    assert harris_distance(metric, [1.0], [0.0]) == pytest.approx(3.0)
-
-
-@given(
-    x=st.floats(-50, 50),
-    y=st.floats(-50, 50),
-    z=st.floats(-50, 50),
-    w=st.floats(0.01, 10),
-)
-@settings(max_examples=200, deadline=None)
-def test_harris_distance_triangle_inequality(x, y, z, w):
-    metric = HarrisMetricSpec(weight=w)
-    dxz = harris_distance(metric, [x], [z])
-    dxy = harris_distance(metric, [x], [y])
-    dyz = harris_distance(metric, [y], [z])
-    assert dxz <= dxy + dyz
-    if x != y:
-        assert dxy >= 2.0

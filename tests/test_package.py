@@ -1,5 +1,6 @@
-"""Package-level facts: the import floor and the version string."""
+"""Package-level facts: the exports, the import floor and the version string."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,23 @@ import concentrix
 from concentrix import cli, montecarlo
 
 ROOT = Path(__file__).resolve().parents[1]
+SUBMODULES = ("cli", "dynamics", "lyapunov", "montecarlo", "transport")
+
+
+@pytest.mark.parametrize("name", ("concentrix",) + tuple(f"concentrix.{m}" for m in SUBMODULES))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_top_level_exports_are_their_home_objects():
+    homes = {}
+    for name in SUBMODULES:
+        module = importlib.import_module(f"concentrix.{name}")
+        homes.update((n, getattr(module, n)) for n in module.__all__)
+    exported = [n for n in concentrix.__all__ if n != "__version__"]
+    assert [n for n in exported if n not in homes] == []
+    assert [n for n in exported if getattr(concentrix, n) is not homes[n]] == []
 
 
 # imported only by the runs that can reach an LP, an assignment solve or a hull
