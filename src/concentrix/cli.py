@@ -178,15 +178,13 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         raise ConfigError("params must be an object")
 
     # scipy.optimize and scipy.spatial are imported where they are called; a
-    # run that can reach an LP, an assignment solve or a hull imports them
-    # here, so that start-up and not the experiment's wall time pays for them
+    # run that can reach an LP (a switched system with a halfspace region) or
+    # an assignment solve (a contraction fit from 2-D up) imports them here,
+    # so that start-up and not the experiment's wall time pays for them
     if system is not None and (
         system.kind == "slds"
-        or system.dim > 1
-        and (
-            pipeline == "contraction"
-            or pipeline == "verify-deviation" and params.get("mode") == "iid"
-        )
+        and any(pred.halfspaces for pred in system.regions.predicates)
+        or pipeline == "contraction" and system.dim > 1
     ):
         import scipy.optimize
         import scipy.spatial
@@ -300,10 +298,15 @@ def _run_deviation(config: ExperimentConfig):
             **shared,
         )
     if mode == "iid":
+        if "diagnostic_samples" in config.params:
+            raise ConfigError(
+                "params.diagnostic_samples is no longer read: the burn-in diagnostic "
+                "was removed, and the Monte Carlo target is now taken at burn_in, "
+                "the horizon the samples are drawn at"
+            )
         return iid_deviation_experiment(
             burn_in=config.int_param("burn_in", required=True),
             te_const=_resolve_te_constant(config, spec),
-            diagnostic_samples=config.int_param("diagnostic_samples", 512),
             **shared,
         )
     raise ConfigError(f"unknown deviation mode: {mode!r}")

@@ -313,10 +313,7 @@ INTEGER_PARAMS = [
         ("verify", "verify-deviation", LDS_HALF, SMALL_DEVIATION_PARAMS, key)
         for key in ("n_samples", "replications", "target_samples", "bias_burn_in")
     ),
-    *(
-        ("verify", "verify-deviation", LDS_HALF, {**IID_PARAMS, "diagnostic_samples": 64}, key)
-        for key in ("burn_in", "diagnostic_samples")
-    ),
+    ("verify", "verify-deviation", LDS_HALF, IID_PARAMS, "burn_in"),
     ("verify", "verify-lyapunov", SLDS_CHAIN, DRIFT_PARAMS, "samples_per_point"),
     *(
         ("verify", "contraction", LDS_HALF,
@@ -347,6 +344,20 @@ def test_integer_param_that_is_no_integer_exits_2(
         "type": "ConfigError",
         "message": f"params.{key} must be an integer, got {value!r}",
     }
+    assert list(tmp_path.glob("out/*")) == []
+
+
+def test_iid_diagnostic_samples_is_rejected(tmp_path, capsys):
+    # the burn-in diagnostic it sized is gone; a config that still asks for it
+    # must not run without it as if nothing had changed
+    body = {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 3,
+            "params": {**IID_PARAMS, "diagnostic_samples": 64}}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "diagnostic was removed" in error["message"]
+    assert "target is now taken at burn_in" in error["message"]
     assert list(tmp_path.glob("out/*")) == []
 
 

@@ -98,13 +98,12 @@ CONFIGS = {
                 "burn_in": 20,
                 "epsilons": [0.1, 0.3],
                 "target_samples": 3000,
-                "diagnostic_samples": 128,
                 "alpha": 0.25,
                 **HYPOTHESIS,
             },
         },
         0,
-        "32691d7885ccf19fea6c348a58c2cfcdd9c1ae6ac9f6a8a7094d330c4bbea4ab",
+        "2c60864e84fdf58e5ba82e2e48c749c820ec10be4d24af31c48ea29b5784d907",
     ),
     "iid-slds-3-regions": (
         "verify",
@@ -125,7 +124,7 @@ CONFIGS = {
             },
         },
         0,
-        "23008c523e247cc179a2ce9b303534466f58ab8c8601c61bd3ef54262bfa735c",
+        "e7702d235fc79c9ee3d743ac36b9358feedbb012d215fd9f3203c671cd77327d",
     ),
     "contraction": (
         "verify",

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from concentrix import lyapunov
@@ -204,6 +206,37 @@ def test_n_step_te_coefficient_positive_and_shrinking():
     coeffs = [n_step_te_coefficient(drift, 50.0, n) for n in range(8)]
     assert all(c > 0 for c in coeffs)
     assert coeffs[-1] < coeffs[0]
+
+
+@given(
+    contraction=st.floats(1e-6, 1.0, exclude_max=True),
+    offset=st.floats(1e-6, 1e6),
+    alpha=st.floats(1e-6, 0.5, exclude_max=True),
+    steps=st.integers(0, 2000),
+)
+@settings(max_examples=300, deadline=None)
+def test_n_step_constant_from_the_origin_never_exceeds_te_constant(
+    contraction, offset, alpha, steps
+):
+    # from W(0) = 1 the n-step weight bound mixes 1 and the stationary moment
+    # bound, so the stationary constant bounds the iid experiment's samples at
+    # every burn-in
+    drift = DriftPair(contraction=contraction, offset=offset, alpha=alpha)
+    n_step = n_step_te_coefficient(drift, 1.0, steps) ** 2 / 2
+    assert n_step <= te_constant(drift) * (1 + 1e-12)
+
+
+def test_n_step_constant_on_the_benchmark_switched_system():
+    spec = SystemSpec.slds(
+        [
+            (Predicate(ball_le=1.0), np.eye(2)),
+            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+        ]
+    )
+    drift = drift_from_exp_lyapunov(slds_exp_lyapunov(spec, 1.0, 0.6, 1.0, 0.25))
+    n_step = [n_step_te_coefficient(drift, 1.0, b) ** 2 / 2 for b in (1, 5, 50)]
+    assert n_step == pytest.approx([28.179, 30.820, 30.947], abs=1e-3)
+    assert n_step[-1] == pytest.approx(te_constant(drift), rel=1e-12)
 
 
 # ---------------------------------------------------------------- geometric drift

@@ -608,21 +608,36 @@ def test_iid_experiment_passes_for_contractive_lds():
     spec = SystemSpec.lds([[0.5]])
     report = iid_deviation_experiment(
         spec, "norm", n_samples=50, replications=200, burn_in=60,
-        epsilons=[0.4, 0.8], te_const=16.0, seed=11,
-        diagnostic_samples=128, target_samples=5_000,
+        epsilons=[0.4, 0.8], te_const=16.0, seed=11, target_samples=5_000,
     )
     assert report.all_pass
     assert report.details["bound_kind"] == "iid_subgaussian"
-    assert "burn_in_diagnostic_w1" in report.details
+    assert report.details["target_burn_in"] == 60
+    assert "burn_in_diagnostic_w1" not in report.details
+    assert "burn_in_diagnostic_note" not in report.details
     assert report.bias == 0.0
+
+
+def test_iid_target_is_drawn_at_the_sampled_horizon():
+    # one step of x' = x/2 + noise from the origin is N(0, 1), whose norm has
+    # mean sqrt(2/pi); two steps give N(0, 1.25), the law the target had when
+    # it was drawn at twice the burn-in
+    spec = SystemSpec.lds([[0.5]])
+    report = iid_deviation_experiment(
+        spec, "norm", n_samples=5, replications=100, burn_in=1,
+        epsilons=[0.5], te_const=4.0, seed=21, target_samples=20_000,
+    )
+    stderr = report.details["target_stderr"]
+    one_step = math.sqrt(2.0 / math.pi)
+    assert abs(report.target_mean - one_step) < 5 * stderr
+    assert abs(report.target_mean - math.sqrt(1.25) * one_step) > 5 * stderr
 
 
 def test_iid_tiny_epsilon_bound_saturates():
     spec = SystemSpec.lds([[0.5]])
     report = iid_deviation_experiment(
         spec, "norm", n_samples=5, replications=100, burn_in=30,
-        epsilons=[1e-9], te_const=4.0, seed=12,
-        diagnostic_samples=64, target_samples=2_000,
+        epsilons=[1e-9], te_const=4.0, seed=12, target_samples=2_000,
     )
     assert report.bounds[0] == pytest.approx(2.0, abs=1e-12)
     assert report.passes == (True,)
@@ -638,7 +653,6 @@ def test_iid_single_sample_consistency():
         spec, "norm", n_samples=1, replications=reps, burn_in=burn_in,
         epsilons=[0.5], te_const=4.0, seed=seed,
         target_mean=target, target_provenance="half_normal_closed_form",
-        diagnostic_samples=64,
     )
     rep_stream = derive_seed(seed, 1)
     endpoints = []
@@ -670,7 +684,7 @@ def test_iid_experiment_memory_does_not_grow_with_block_size():
         iid_deviation_experiment(
             spec, "norm", n_samples=100, replications=100, burn_in=200,
             epsilons=[0.1], te_const=4.0, seed=5, target_mean=0.9213,
-            target_provenance="half_normal_closed_form", diagnostic_samples=64,
+            target_provenance="half_normal_closed_form",
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:

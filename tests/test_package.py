@@ -32,13 +32,29 @@ def test_top_level_exports_are_their_home_objects():
     assert [n for n in exported if getattr(concentrix, n) is not homes[n]] == []
 
 
-# imported only by the runs that can reach an LP, an assignment solve or a hull
+# imported only by the runs that can reach an LP or an assignment solve
 DEFERRED = ("scipy.optimize", "scipy.spatial")
 
 SWITCHED = {
     "type": "slds",
     "regions": [
         {"predicate": {"ball_le": 1.0}, "A": [[1.0, 0.0], [0.0, 1.0]]},
+        {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
+    ],
+}
+# a box region has no ball bound, so its containment check solves LPs
+BOXED = {
+    "type": "slds",
+    "regions": [
+        {
+            "predicate": {
+                "halfspaces": [
+                    {"normal": normal, "offset": 0.7}
+                    for normal in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])
+                ]
+            },
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+        },
         {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
     ],
 }
@@ -71,20 +87,8 @@ def test_cli_import_does_not_load_optimize_or_spatial():
     assert run_probe("import concentrix.cli\n" + loaded(DEFERRED)) == "[]"
 
 
-def test_one_dimensional_trajectory_run_does_not_load_optimize_or_spatial(tmp_path):
-    config = {
-        "pipeline": "verify-deviation",
-        "system": LINE,
-        "seed": 42,
-        "params": {
-            "mode": "trajectory",
-            "reward": "norm",
-            "x0": [0.0],
-            "n_samples": 40,
-            "replications": 200,
-            "epsilons": [0.3, 0.6],
-        },
-    }
+def assert_run_loads_neither(tmp_path, config):
+    """``cli.main`` on ``config`` in a fresh interpreter passes and loads neither."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -99,18 +103,42 @@ def test_one_dimensional_trajectory_run_does_not_load_optimize_or_spatial(tmp_pa
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_one_dimensional_trajectory_run_does_not_load_optimize_or_spatial(tmp_path):
+    params = {"mode": "trajectory", "reward": "norm", "x0": [0.0], "n_samples": 40,
+              "replications": 200, "epsilons": [0.3, 0.6]}
+    assert_run_loads_neither(
+        tmp_path, {"pipeline": "verify-deviation", "system": LINE, "seed": 42, "params": params}
+    )
+
+
+def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
+    # a ball_le region settles containment without an LP, and the iid
+    # experiment solves no assignment
+    params = {"mode": "iid", "reward": "norm", "n_samples": 10, "replications": 100,
+              "burn_in": 10, "epsilons": [0.5, 1.0], "target_samples": 500,
+              "radius": 1.0, "contraction": 0.6, "lipschitz": 1.0, "alpha": 0.25}
+    assert_run_loads_neither(
+        tmp_path, {"pipeline": "verify-deviation", "system": SWITCHED, "seed": 42, "params": params}
+    )
+
+
 @pytest.mark.parametrize(
     "pipeline, system, params, warmed",
     [
-        ("verify-lyapunov", SWITCHED, {}, True),
-        ("certify", SWITCHED, {}, True),
+        ("verify-lyapunov", SWITCHED, {}, False),
+        ("certify", SWITCHED, {}, False),
         ("contraction", PLANE, {}, True),
-        ("verify-deviation", PLANE, {"mode": "iid"}, True),
+        ("verify-deviation", PLANE, {"mode": "iid"}, False),
         ("contraction", LINE, {}, False),
         ("verify-deviation", LINE, {"mode": "iid"}, False),
         ("verify-deviation", PLANE, {"mode": "trajectory"}, False),
         ("verify-deviation", PLANE, {}, False),
         ("sweep", None, {}, False),
+        ("verify-deviation", SWITCHED, {"mode": "iid"}, False),
+        ("verify-lyapunov", BOXED, {}, True),
+        ("certify", BOXED, {}, True),
+        ("verify-deviation", BOXED, {"mode": "iid"}, True),
+        ("contraction", SWITCHED, {}, True),
     ],
 )
 def test_load_config_imports_what_the_run_can_reach(tmp_path, pipeline, system, params, warmed):
