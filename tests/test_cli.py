@@ -313,7 +313,10 @@ INTEGER_PARAMS = [
         ("verify", "verify-deviation", LDS_HALF, SMALL_DEVIATION_PARAMS, key)
         for key in ("n_samples", "replications", "target_samples", "bias_burn_in")
     ),
-    ("verify", "verify-deviation", LDS_HALF, IID_PARAMS, "burn_in"),
+    *(
+        ("verify", "verify-deviation", LDS_HALF, IID_PARAMS, key)
+        for key in ("burn_in", "diagnostic_samples")
+    ),
     ("verify", "verify-lyapunov", SLDS_CHAIN, DRIFT_PARAMS, "samples_per_point"),
     *(
         ("verify", "contraction", LDS_HALF,
@@ -323,6 +326,13 @@ INTEGER_PARAMS = [
     ("sweep", "sweep", LDS_HALF, {"variable": "epsilon", "grid": [0.3], "n_samples": 10},
      "n_samples"),
 ]
+# diagnostic_samples is no longer read: any value of it, a non-integer too,
+# exits 2 with this message instead of the integer one
+DIAGNOSTIC_SAMPLES_REMOVED = (
+    "params.diagnostic_samples is no longer read: the burn-in diagnostic "
+    "was removed, and the Monte Carlo target is now taken at burn_in, "
+    "the horizon the samples are drawn at"
+)
 
 
 @pytest.mark.parametrize("value", [2.5, True])
@@ -340,10 +350,10 @@ def test_integer_param_that_is_no_integer_exits_2(
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {
-        "type": "ConfigError",
-        "message": f"params.{key} must be an integer, got {value!r}",
-    }
+    message = f"params.{key} must be an integer, got {value!r}"
+    if key == "diagnostic_samples":
+        message = DIAGNOSTIC_SAMPLES_REMOVED
+    assert error == {"type": "ConfigError", "message": message}
     assert list(tmp_path.glob("out/*")) == []
 
 
@@ -355,9 +365,7 @@ def test_iid_diagnostic_samples_is_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ConfigError"
-    assert "diagnostic was removed" in error["message"]
-    assert "target is now taken at burn_in" in error["message"]
+    assert error == {"type": "ConfigError", "message": DIAGNOSTIC_SAMPLES_REMOVED}
     assert list(tmp_path.glob("out/*")) == []
 
 
