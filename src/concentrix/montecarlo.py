@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 from scipy.special import betaincinv, ellipe
 
 from . import __version__
@@ -110,9 +109,12 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
 
     Each bound is a quantile of a beta law, taken from the inverse
     regularized incomplete beta function ``scipy.special.betaincinv``.
+    ``level`` must lie strictly between 0 and 1.
     """
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     tail = (1.0 - level) / 2.0
     if successes == 0:
         low = 0.0
@@ -836,9 +838,19 @@ def empirical_autocovariance(
 def lds_stationary_covariance(a) -> np.ndarray:
     """Stationary covariance of a contractive linear system.
 
-    Solves the discrete Lyapunov equation ``S = A S A^T + I`` directly with
-    :func:`scipy.linalg.solve_discrete_lyapunov`; the result satisfies the
-    balance equation to better than 1e-10.
+    Solves the discrete Lyapunov equation ``S = A S A^T + I`` by the method
+    :func:`scipy.linalg.solve_discrete_lyapunov` picks for the size.  Below
+    10 dimensions that is the Kronecker system ``(I - A (x) A) vec S =
+    vec I`` (Kitagawa, Int. J. Control 1977), solved here with numpy's LU,
+    so those runs never import ``scipy.linalg``.  In one dimension the
+    result is scipy's to the bit.  From two dimensions its last bits can
+    differ from scipy's, whose ``solve`` picks its LAPACK routine from the
+    structure of ``I - A (x) A``: mostly for ``A^T = +-A`` (symmetric
+    system) and lower-triangular ``A``, and for some general ``A`` from
+    three dimensions.  From 10 dimensions up, where the Kronecker system
+    costs O(n^6), scipy's bilinear transform and Bartels-Stewart solve
+    (CACM 1972) is imported and called.  The result satisfies the balance
+    equation to better than 1e-10.
     """
     if isinstance(a, SystemSpec):
         if a.kind != "lds":
@@ -847,7 +859,13 @@ def lds_stationary_covariance(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if spectral_norm(a) >= 1.0:
         raise NotContractiveError("matrix 2-norm must be strictly below 1")
-    return solve_discrete_lyapunov(a, np.eye(a.shape[0]))
+    n = a.shape[0]
+    if n >= 10:
+        from scipy.linalg import solve_discrete_lyapunov
+
+        return solve_discrete_lyapunov(a, np.eye(n))
+    lhs = np.eye(n * n) - np.kron(a, a)
+    return np.linalg.solve(lhs, np.eye(n).reshape(-1)).reshape(n, n)
 
 
 def _closed_form_mean(sigma: np.ndarray, tag: str) -> tuple[float, str] | None:

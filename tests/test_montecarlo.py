@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import beta, norm
@@ -902,6 +903,46 @@ def test_stationary_covariance_residual_random_stable():
         assert residual < 1e-10
 
 
+def test_stationary_covariance_one_dimension_is_scipys_to_the_bit():
+    rng = np.random.Generator(np.random.PCG64(27))
+    for value in [0.0, 0.5, -0.5, 0.9, 1.0 - 2.0**-30, *rng.uniform(-0.999, 0.999, 500)]:
+        a = np.array([[value]])
+        assert lds_stationary_covariance(a) == solve_discrete_lyapunov(a, np.eye(1))
+
+
+def _contraction_of_shape(rng, n, shape, norm):
+    raw = rng.normal(size=(n, n))
+    raw = {
+        "general": raw,
+        "symmetric": raw + raw.T,
+        "skew": raw - raw.T,
+        "lower": np.tril(raw),
+        "upper": np.triu(raw),
+    }[shape]
+    return raw * (norm / np.linalg.norm(raw, 2))
+
+
+@pytest.mark.parametrize("norm", [0.5, 0.999])
+@pytest.mark.parametrize("shape", ["general", "symmetric", "skew", "lower", "upper"])
+def test_stationary_covariance_agrees_with_scipy(shape, norm):
+    # numpy's LU and scipy's structure-picked LAPACK routine (sysv for a
+    # symmetric I - A (x) A, trtrs for a triangular one) are both backward
+    # stable, so the two solutions differ by at most a few eps times the
+    # condition number of I - A (x) A
+    rng = np.random.Generator(np.random.PCG64(28))
+    eps = np.finfo(float).eps
+    for n in range(2, 10):
+        for _ in range(10):
+            a = _contraction_of_shape(rng, n, shape, norm)
+            sigma = lds_stationary_covariance(a)
+            reference = solve_discrete_lyapunov(a, np.eye(n))
+            cond = np.linalg.cond(np.eye(n * n) - np.kron(a, a))
+            scale = np.abs(reference).max()
+            assert np.abs(sigma - reference).max() <= 32 * eps * cond * scale
+            residual = np.abs(a @ sigma @ a.T + np.eye(n) - sigma).max()
+            assert residual <= 1e-12 * np.abs(sigma).max()
+
+
 def test_stationary_covariance_rejects_unstable():
     with pytest.raises(NotContractiveError):
         lds_stationary_covariance([[1.0]])
@@ -1031,6 +1072,13 @@ def test_clopper_pearson_validation():
         clopper_pearson(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson(-1, 4)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_clopper_pearson_rejects_level_outside_unit_interval(level):
+    # 1.5 or nan gave (nan, nan), and -0.2 a narrow interval that meant nothing
+    with pytest.raises(ValueError, match="level"):
+        clopper_pearson(3, 10, level)
 
 
 @pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 0.999])

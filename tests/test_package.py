@@ -34,6 +34,10 @@ def test_top_level_exports_are_their_home_objects():
 
 # imported only by the runs that can reach an LP or an assignment solve
 DEFERRED = ("scipy.optimize", "scipy.spatial")
+# scipy.linalg is imported to solve a stationary covariance from 10
+# dimensions up, and by scipy.optimize; a deviation run that reaches no LP
+# in fewer dimensions loads none of these
+UNUSED_BY_DEVIATION = ("scipy.linalg",) + DEFERRED
 
 SWITCHED = {
     "type": "slds",
@@ -87,8 +91,34 @@ def test_cli_import_does_not_load_optimize_or_spatial():
     assert run_probe("import concentrix.cli\n" + loaded(DEFERRED)) == "[]"
 
 
+def test_cli_import_does_not_load_scipy_linalg():
+    # about 0.1 s and 6 MB of start-up; the stationary covariance below 10
+    # dimensions is solved in numpy
+    assert run_probe("import concentrix.cli\n" + loaded(["scipy.linalg"])) == "[]"
+
+
+def test_stationary_covariance_loads_scipy_linalg_from_ten_dimensions():
+    probe = """
+import sys
+import numpy as np
+from concentrix import lds_stationary_covariance
+
+rng = np.random.Generator(np.random.PCG64(29))
+for n in range(1, 10):
+    lds_stationary_covariance(0.9 * np.eye(n) + 0.05 * rng.normal(size=(n, n)) / n)
+assert "scipy.linalg" not in sys.modules
+a = 0.9 * np.eye(10) + 0.05 * rng.normal(size=(10, 10)) / 10
+sigma = lds_stationary_covariance(a)
+assert "scipy.linalg" in sys.modules
+from scipy.linalg import solve_discrete_lyapunov
+print(np.array_equal(sigma, solve_discrete_lyapunov(a, np.eye(10))))
+"""
+    assert run_probe(probe) == "True"
+
+
 def assert_run_loads_neither(tmp_path, config):
-    """``cli.main`` on ``config`` in a fresh interpreter passes and loads neither."""
+    """``cli.main`` on ``config`` in a fresh interpreter passes, loading none of
+    scipy.optimize, scipy.spatial and scipy.linalg."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     argv = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -97,7 +127,7 @@ def assert_run_loads_neither(tmp_path, config):
         "from concentrix import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        "assert code == 0, code\n" + loaded(DEFERRED)
+        "assert code == 0, code\n" + loaded(UNUSED_BY_DEVIATION)
     )
     assert run_probe(probe) == "[]"
     assert (tmp_path / "out" / "report.json").exists()
@@ -108,6 +138,15 @@ def test_one_dimensional_trajectory_run_does_not_load_optimize_or_spatial(tmp_pa
               "replications": 200, "epsilons": [0.3, 0.6]}
     assert_run_loads_neither(
         tmp_path, {"pipeline": "verify-deviation", "system": LINE, "seed": 42, "params": params}
+    )
+
+
+def test_two_dimensional_trajectory_run_does_not_load_scipy_linalg(tmp_path):
+    # its stationary covariance gives the exact target and the bias shift
+    params = {"mode": "trajectory", "reward": "norm", "x0": [1.0, -1.0], "n_samples": 40,
+              "replications": 200, "epsilons": [0.5, 1.0]}
+    assert_run_loads_neither(
+        tmp_path, {"pipeline": "verify-deviation", "system": PLANE, "seed": 42, "params": params}
     )
 
 
