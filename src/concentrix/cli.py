@@ -67,33 +67,6 @@ _VERIFY_PIPELINES = ("verify-deviation", "verify-lyapunov", "contraction")
 # experiment-internal labels
 _STREAM_CLI_REFERENCE = 101
 
-# the params keys each pipeline reads (verify-deviation: per mode);
-# load_config rejects any other key, so a misspelt one cannot run silently
-# at its default while the report embeds it as if it had been read
-_HYPOTHESIS_KEYS = ("radius", "contraction", "lipschitz")
-_DEVIATION_KEYS = (
-    "mode", "reward", "epsilons", "replications", "n_samples",
-    "target_mean", "target_provenance", "target_samples",
-)
-_PARAM_KEYS = {
-    "certify": ("n_samples", "lipschitz", "epsilons", "alpha", *_HYPOTHESIS_KEYS),
-    "verify-lyapunov": ("x_grid", "samples_per_point", *_HYPOTHESIS_KEYS),
-    "contraction": (
-        "x0", "n_max", "per_step", "reference_count", "reference_burn_in",
-        "expected_rate", "tolerance",
-    ),
-    "sweep": ("variable", "grid", "constant", "n_samples", "epsilon", *_HYPOTHESIS_KEYS),
-}
-_DEVIATION_MODE_KEYS = {
-    "trajectory": (*_DEVIATION_KEYS, "x0", "bias_burn_in"),
-    "iid": (*_DEVIATION_KEYS, "burn_in", "te_constant", "alpha", *_HYPOTHESIS_KEYS),
-}
-_DIAGNOSTIC_SAMPLES_REMOVED = (
-    "params.diagnostic_samples is no longer read: the burn-in diagnostic "
-    "was removed, and the Monte Carlo target is now taken at burn_in, "
-    "the horizon the samples are drawn at"
-)
-
 
 class ConfigError(ValueError):
     """Missing or contradictory experiment configuration."""
@@ -162,28 +135,6 @@ class ExperimentConfig:
         return _integer(key, self.param(key, default, required))
 
 
-def _check_param_keys(pipeline: str, params: dict) -> None:
-    """Reject a params key that ``pipeline`` does not read."""
-    where = f"pipeline {pipeline!r}"
-    if pipeline == "verify-deviation":
-        mode = params.get("mode", "trajectory")
-        if not isinstance(mode, str) or mode not in _DEVIATION_MODE_KEYS:
-            return  # the run names the unknown mode
-        if mode == "iid" and "diagnostic_samples" in params:
-            raise ConfigError(_DIAGNOSTIC_SAMPLES_REMOVED)
-        where += f" in {mode} mode"
-        accepted = _DEVIATION_MODE_KEYS[mode]
-    else:
-        accepted = _PARAM_KEYS[pipeline]
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        names = ", ".join(f"params.{key}" for key in unknown)
-        raise ConfigError(
-            f"{names} {'is' if len(unknown) == 1 else 'are'} not read by {where}; "
-            f"its keys are {', '.join(sorted(accepted))}"
-        )
-
-
 def load_config(path, seed_override=None) -> ExperimentConfig:
     """Read and validate an experiment config document."""
     path = Path(path)
@@ -225,7 +176,6 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    _check_param_keys(pipeline, params)
 
     # scipy.optimize and scipy.spatial are imported where they are called; a
     # run that can reach an LP (a switched system with a halfspace region) or
@@ -265,7 +215,8 @@ def _envelope(config: ExperimentConfig, result: dict) -> dict:
 def _hypothesis(config: ExperimentConfig) -> list:
     """Radius, contraction and lipschitz of the geometric-mixing hypothesis."""
     return [
-        float(config.param(key, required=True)) for key in _HYPOTHESIS_KEYS
+        float(config.param(key, required=True))
+        for key in ("radius", "contraction", "lipschitz")
     ]
 
 
@@ -347,6 +298,12 @@ def _run_deviation(config: ExperimentConfig):
             **shared,
         )
     if mode == "iid":
+        if "diagnostic_samples" in config.params:
+            raise ConfigError(
+                "params.diagnostic_samples is no longer read: the burn-in diagnostic "
+                "was removed, and the Monte Carlo target is now taken at burn_in, "
+                "the horizon the samples are drawn at"
+            )
         return iid_deviation_experiment(
             burn_in=config.int_param("burn_in", required=True),
             te_const=_resolve_te_constant(config, spec),

@@ -849,8 +849,11 @@ def lds_stationary_covariance(a) -> np.ndarray:
     system) and lower-triangular ``A``, and for some general ``A`` from
     three dimensions.  From 10 dimensions up, where the Kronecker system
     costs O(n^6), scipy's bilinear transform and Bartels-Stewart solve
-    (CACM 1972) is imported and called.  The result satisfies the balance
-    equation to better than 1e-10.
+    (CACM 1972) is imported and called.  No benchmark workload, demo or
+    golden reaches that branch; it stays because the Kronecker system needs
+    n^4 floats (about 800 MB at n = 100) and O(n^6) time, and there it keeps
+    scipy's bytes.  The result satisfies the balance equation to better
+    than 1e-10.
     """
     if isinstance(a, SystemSpec):
         if a.kind != "lds":

@@ -369,52 +369,6 @@ def test_iid_diagnostic_samples_is_rejected(tmp_path, capsys):
     assert list(tmp_path.glob("out/*")) == []
 
 
-# (command, pipeline, system, params, key): each key is one its pipeline does not read
-UNKNOWN_PARAMS = [
-    ("certify", "certify", LDS_HALF, {"n_samples": 100}, "n_sample"),
-    ("verify", "verify-deviation", LDS_HALF, SMALL_DEVIATION_PARAMS, "target_sample"),
-    # trajectory mode never read it, so it gets no removal message
-    ("verify", "verify-deviation", LDS_HALF, SMALL_DEVIATION_PARAMS, "diagnostic_samples"),
-    ("verify", "verify-deviation", LDS_HALF, IID_PARAMS, "x0"),
-    ("verify", "verify-lyapunov", SLDS_CHAIN, DRIFT_PARAMS, "samples_per_pont"),
-    ("verify", "contraction", LDS_HALF, CONTRACTION_PARAMS, "refernce_count"),
-    ("sweep", "sweep", LDS_HALF, {"variable": "epsilon", "grid": [0.3], "n_samples": 10},
-     "epsilons"),
-]
-
-
-@pytest.mark.parametrize(
-    "command, pipeline, system, params, key",
-    UNKNOWN_PARAMS,
-    ids=[f"{case[1]}-{case[4]}" for case in UNKNOWN_PARAMS],
-)
-def test_unknown_param_exits_2(tmp_path, capsys, command, pipeline, system, params, key):
-    # a misspelt key would otherwise run at its default while the report
-    # embeds it as if it had been read
-    body = {"pipeline": pipeline, "system": system, "seed": 3,
-            "params": {**params, key: 7}}
-    out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ConfigError"
-    assert error["message"].startswith(f"params.{key} is not read by pipeline {pipeline!r}")
-    assert all(known in error["message"] for known in params)
-    assert list(tmp_path.glob("out/*")) == []
-
-
-def test_unknown_param_message_names_the_accepted_keys(tmp_path, capsys):
-    body = {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 3,
-            "params": {**SMALL_DEVIATION_PARAMS, "target_sample": 7, "burnin": 1}}
-    out = str(tmp_path / "out")
-    assert main(["verify", "--config", write_config(tmp_path, body), "--out", out]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
-        "params.burnin, params.target_sample are not read by pipeline "
-        "'verify-deviation' in trajectory mode; its keys are bias_burn_in, epsilons, "
-        "mode, n_samples, replications, reward, target_mean, target_provenance, "
-        "target_samples, x0"
-    )
-
-
 @pytest.mark.parametrize("value", [2.5, True])
 def test_sweep_grid_value_that_is_no_integer_exits_2(tmp_path, capsys, value):
     params = {"variable": "n_samples", "grid": [10, value], "epsilon": 0.3}
