@@ -67,6 +67,14 @@ _VERIFY_PIPELINES = ("verify-deviation", "verify-lyapunov", "contraction")
 # experiment-internal labels
 _STREAM_CLI_REFERENCE = 101
 
+# verify-deviation keys that are no longer read, with the reason; a config
+# that still sets one exits 2 rather than run as if nothing had changed
+_RETIRED_DEVIATION_KEYS = {
+    "diagnostic_samples": "the burn-in diagnostic was removed, and the Monte Carlo "
+    "target is now taken at burn_in, the horizon the samples are drawn at",
+    "bias_burn_in": "the trajectory-mode Monte Carlo target samples N(0, S) directly",
+}
+
 
 class ConfigError(ValueError):
     """Missing or contradictory experiment configuration."""
@@ -275,6 +283,9 @@ def _resolve_te_constant(config: ExperimentConfig, spec: SystemSpec) -> float:
 
 
 def _run_deviation(config: ExperimentConfig):
+    for key, reason in _RETIRED_DEVIATION_KEYS.items():
+        if key in config.params:
+            raise ConfigError(f"params.{key} is no longer read: {reason}")
     spec = config.require_system()
     mode = config.param("mode", "trajectory")
     reward = config.param("reward", "norm")
@@ -292,18 +303,8 @@ def _run_deviation(config: ExperimentConfig):
         "target_samples": config.int_param("target_samples", 100_000),
     }
     if mode == "trajectory":
-        return deviation_probability_experiment(
-            x0=config.param("x0", required=True),
-            bias_burn_in=config.int_param("bias_burn_in", 200),
-            **shared,
-        )
+        return deviation_probability_experiment(x0=config.param("x0", required=True), **shared)
     if mode == "iid":
-        if "diagnostic_samples" in config.params:
-            raise ConfigError(
-                "params.diagnostic_samples is no longer read: the burn-in diagnostic "
-                "was removed, and the Monte Carlo target is now taken at burn_in, "
-                "the horizon the samples are drawn at"
-            )
         return iid_deviation_experiment(
             burn_in=config.int_param("burn_in", required=True),
             te_const=_resolve_te_constant(config, spec),

@@ -33,6 +33,7 @@ from .dynamics import (
 from .transport import (
     ConcentrationCertificate,
     NotContractiveError,
+    _check_psd,
     _psd_sqrt,
     bias_term,
     correlation_bound,
@@ -129,12 +130,9 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Points with provenance so reports can say where samples came from."""
+    """A nonempty (m, n) array of points, such as burn-in endpoints."""
 
     points: np.ndarray  # (m, n)
-    provenance: str  # "single_trajectory" | "burn_in_endpoints" | "analytic_gaussian"
-    master_seed: int | None = None
-    burn_in: int | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -280,12 +278,7 @@ def burn_in_sampler(
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     start = np.zeros(spec.dim) if x0 is None else x0
-    return SampleBatch(
-        points=simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count)),
-        provenance="burn_in_endpoints",
-        master_seed=seed,
-        burn_in=burn_in,
-    )
+    return SampleBatch(simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count)))
 
 
 @dataclass(frozen=True)
@@ -399,23 +392,20 @@ def _deviation_report(
     epsilons: tuple,
     replications: int,
     seed: int,
-    target_mean,
-    target_provenance,
-    target_samples: int,
-    target_burn_in: int,
-    target_details: dict,
+    target_mean: float,
+    target_provenance: str,
     details: dict,
 ) -> DeviationReport:
     """Run the replications of a deviation experiment and tabulate its tails.
 
     ``reward`` is a resolved (fn, lipschitz, tag) triple and ``average`` maps
     a uint64 array of at most ``block`` replication seeds to one average
-    each.  An unsupplied target is the mean reward of ``target_samples``
-    endpoints after ``target_burn_in`` steps, recorded with
-    ``target_details``.  Each epsilon counts deviations beyond ``cert.bias +
+    each.  The experiment resolves its own target and records how in
+    ``details``.  Each epsilon counts deviations beyond ``cert.bias +
     epsilon``, bounded by the tail bound of ``cert``.
     """
-    reward_fn, lipschitz, tag = reward
+    _, lipschitz, tag = reward
+    target_mean = float(target_mean)
     details = {
         **details,
         "system_digest": system_digest(spec),
@@ -424,15 +414,6 @@ def _deviation_report(
         "reward": tag,
         "lipschitz": lipschitz,
     }
-    if target_mean is None:
-        batch = burn_in_sampler(
-            spec, target_samples, target_burn_in, derive_seed(seed, _STREAM_TARGET)
-        )
-        target_mean, target_stderr = _mean_stderr(reward_fn(batch.points))
-        target_provenance = "monte_carlo_burn_in"
-        details.update(target_stderr=target_stderr, **target_details)
-    else:
-        target_mean = float(target_mean)
 
     rep_stream = derive_seed(seed, _STREAM_REPLICATION)
     averages = np.concatenate(
@@ -475,7 +456,6 @@ def deviation_probability_experiment(
     seed: int,
     target_mean: float | None = None,
     target_provenance: str | None = None,
-    bias_burn_in: int = 200,
     target_samples: int = 100_000,
 ) -> DeviationReport:
     """Tail-frequency experiment for time averages along one trajectory.
@@ -489,11 +469,11 @@ def deviation_probability_experiment(
     rate))``, with ``W2`` the closed-form distance from the one-step law
     N(A x0, I) to N(0, S); it bounds W1, so the shift is a true upper bound
     on the start-point bias of an ``L``-Lipschitz reward.  An unsupplied
-    target is the exact stationary mean where a closed form exists (the
-    coordinate reward, and the norm reward in one or two dimensions);
-    otherwise it is the Monte Carlo mean of ``target_samples`` endpoints
-    after ``bias_burn_in`` steps, and only then are those two values
-    checked.  Supplied targets must state their provenance.
+    target is the reward's mean under N(0, S) as :func:`stationary_mean_reward`
+    finds it: a closed form (the coordinate reward, and the norm reward in one
+    or two dimensions), else provenance ``monte_carlo_stationary``, the mean
+    of ``target_samples`` draws of N(0, S).  Supplied targets must state
+    their provenance.
     """
     epsilons = _check_experiment(
         n_samples, epsilons, replications, target_mean, target_provenance
@@ -507,26 +487,30 @@ def deviation_probability_experiment(
     if not np.isfinite(x0v).all():
         raise ValueError("x0 must be finite")
     reward = _resolve_reward(reward)
-    reward_fn, lipschitz, tag = reward
+    reward_fn, lipschitz, _ = reward
     t1, contraction = lds_certificate(spec)
     rate = contraction.rate
     sigma = lds_stationary_covariance(spec)
-    if target_mean is None:
-        exact = _closed_form_mean(sigma, tag)
-        if exact is not None:
-            target_mean, target_provenance = exact
-        else:
-            _check_monte_carlo_target(target_samples)
-            if bias_burn_in < 1:
-                # the Monte Carlo target would be the start point
-                raise ValueError("bias_burn_in must be at least 1")
-
     n = spec.dim
     with np.errstate(over="ignore"):  # an overflow is reported just below
         w2_start = gaussian_w2(spec.matrices[0] @ x0v, np.eye(n), np.zeros(n), sigma)
     bias = lipschitz * bias_term(w2_start, n_samples, rate)
     if not math.isfinite(bias):
         raise ValueError("x0 lies so far out that its start-point bias overflows a float")
+    details = {
+        "bound_kind": "trajectory_subgaussian",
+        "constant": t1.constant,
+        "rate": rate,
+        "x0": [float(v) for v in x0v],
+        "bias_w2": w2_start,
+    }
+    if target_mean is None:
+        target_mean, stderr, target_provenance = _gaussian_mean(
+            sigma, reward, target_samples, derive_seed(seed, _STREAM_TARGET)
+        )
+        if stderr is not None:
+            target_provenance = "monte_carlo_stationary"
+            details.update(target_stderr=stderr, target_samples=target_samples)
 
     def average(seeds):
         states = simulate_batch(spec, x0v, n_samples, seeds)
@@ -541,17 +525,7 @@ def deviation_probability_experiment(
     )
     return _deviation_report(
         spec, reward, average, _trajectory_block(n_samples, n), cert, epsilons,
-        replications, seed, target_mean, target_provenance, target_samples,
-        target_burn_in=bias_burn_in,
-        target_details={"target_samples": target_samples},
-        details={
-            "bound_kind": "trajectory_subgaussian",
-            "constant": t1.constant,
-            "rate": rate,
-            "x0": [float(v) for v in x0v],
-            "bias_w2": w2_start,
-            "bias_burn_in": bias_burn_in,
-        },
+        replications, seed, target_mean, target_provenance, details,
     )
 
 
@@ -596,6 +570,18 @@ def iid_deviation_experiment(
         raise ValueError("transport-entropy constant must be positive")
     reward = _resolve_reward(reward)
     reward_fn, lipschitz, _ = reward
+    details = {
+        "bound_kind": "iid_subgaussian",
+        "te_constant": te_const,
+        "burn_in": burn_in,
+    }
+    if target_mean is None:
+        batch = burn_in_sampler(
+            spec, target_samples, burn_in, derive_seed(seed, _STREAM_TARGET)
+        )
+        target_mean, stderr = _mean_stderr(reward_fn(batch.points))
+        target_provenance = "monte_carlo_burn_in"
+        details.update(target_stderr=stderr, target_burn_in=burn_in)
 
     # whole replications per endpoint run, as many as fill one noise chunk,
     # so memory is bounded by the chunk or by one replication's endpoints
@@ -618,14 +604,7 @@ def iid_deviation_experiment(
     )
     return _deviation_report(
         spec, reward, average, _BLOCK, cert, epsilons, replications, seed,
-        target_mean, target_provenance, target_samples,
-        target_burn_in=burn_in,
-        target_details={"target_burn_in": burn_in},
-        details={
-            "bound_kind": "iid_subgaussian",
-            "te_constant": te_const,
-            "burn_in": burn_in,
-        },
+        target_mean, target_provenance, details,
     )
 
 
@@ -887,10 +866,27 @@ def _closed_form_mean(sigma: np.ndarray, tag: str) -> tuple[float, str] | None:
     if sigma.shape[0] == 1:
         value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
         return value, "half_normal_closed_form"
-    _psd_sqrt(sigma)  # validates PSD
-    low, high = np.clip(np.linalg.eigvalsh(0.5 * (sigma + sigma.T)), 0.0, None)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
+    _check_psd(eigenvalues)
+    low, high = np.clip(eigenvalues, 0.0, None)
     value = math.sqrt(2.0 * high / math.pi) * float(ellipe(1.0 - low / high)) if high else 0.0
     return value, "elliptic_closed_form"
+
+
+def _gaussian_mean(sigma: np.ndarray, reward, samples: int, seed: int) -> tuple:
+    """Mean of a resolved reward under N(0, sigma) as (value, stderr, method).
+
+    A closed form (:func:`_closed_form_mean`) has stderr None; otherwise the
+    mean is taken over ``samples`` draws of N(0, sigma) from ``PCG64(seed)``.
+    """
+    reward_fn, _, tag = reward
+    exact = _closed_form_mean(sigma, tag)
+    if exact is not None:
+        return exact[0], None, exact[1]
+    _check_monte_carlo_target(samples)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    draws = gen.standard_normal((samples, sigma.shape[0])) @ _psd_sqrt(sigma)
+    return (*_mean_stderr(reward_fn(draws)), "gaussian_monte_carlo")
 
 
 @dataclass(frozen=True)
@@ -938,31 +934,27 @@ def stationary_mean_reward(
     """
     if sample_budget < 2:
         raise ValueError(f"sample_budget must be at least 2, got {sample_budget}")
-    reward_fn, _, tag = _resolve_reward(reward)
+    reward = _resolve_reward(reward)
     if isinstance(target, SampleBatch):
         if len(target) < 2:
             raise ValueError(
                 f"a sample batch target needs at least 2 points, got {len(target)}"
             )
-        vals, method = reward_fn(target.points), "burn_in_monte_carlo"
+        value, stderr = _mean_stderr(reward[0](target.points))
+        method, samples = "burn_in_monte_carlo", len(target)
     else:
         if isinstance(target, SystemSpec):
             sigma = lds_stationary_covariance(target)
         else:
             sigma = np.atleast_2d(np.asarray(target, dtype=float))
-        n = sigma.shape[0]
-        exact = _closed_form_mean(sigma, tag)
-        if exact is not None:
-            value, method = exact
+        value, stderr, method = _gaussian_mean(sigma, reward, sample_budget, seed)
+        if stderr is None:
             return MeanEstimate(value=value, ci_halfwidth=0.0, method=method)
-        gen = np.random.Generator(np.random.PCG64(seed))
-        vals = reward_fn(gen.standard_normal((sample_budget, n)) @ _psd_sqrt(sigma))
-        method = "gaussian_monte_carlo"
-    value, stderr = _mean_stderr(vals)
+        samples = sample_budget
     half = 2.5758293035489004 * stderr
     if method == "gaussian_monte_carlo" and half > precision:
         raise PrecisionError(
             f"99% half-width {half:.3g} exceeds requested precision {precision:g} "
             f"within the {sample_budget}-sample budget"
         )
-    return MeanEstimate(value=value, ci_halfwidth=half, method=method, samples=len(vals))
+    return MeanEstimate(value=value, ci_halfwidth=half, method=method, samples=samples)

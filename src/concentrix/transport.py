@@ -150,11 +150,16 @@ def lds_certificate(a) -> tuple[T1Certificate, ContractionCertificate]:
     return T1Certificate(constant=1.0), ContractionCertificate(rate=rate)
 
 
-def _psd_sqrt(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    w, v = np.linalg.eigh(sym)
-    if w.min() < -tol * max(1.0, abs(w.max())):
-        raise ValueError(f"matrix is not positive semidefinite (min eig {w.min():.3g})")
+def _check_psd(eigenvalues: np.ndarray, tol: float = 1e-9) -> None:
+    """Reject a symmetric matrix whose eigenvalues dip below ``-tol`` (relative)."""
+    low = eigenvalues.min()
+    if low < -tol * max(1.0, abs(eigenvalues.max())):
+        raise ValueError(f"matrix is not positive semidefinite (min eig {low:.3g})")
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+    _check_psd(w)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 

@@ -285,7 +285,6 @@ def test_criterion_10_deterministic_parallel_reports(tmp_path):
             "n_samples": 50,
             "replications": 600,
             "epsilons": [0.2, 0.4, 0.6],
-            "bias_burn_in": 100,
             "target_samples": 5000,
         },
     }

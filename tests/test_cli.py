@@ -47,7 +47,6 @@ SMALL_DEVIATION_PARAMS = {
     "n_samples": 40,
     "replications": 200,
     "epsilons": [0.3, 0.6],
-    "bias_burn_in": 50,
     "target_samples": 2000,
 }
 
@@ -326,13 +325,19 @@ INTEGER_PARAMS = [
     ("sweep", "sweep", LDS_HALF, {"variable": "epsilon", "grid": [0.3], "n_samples": 10},
      "n_samples"),
 ]
-# diagnostic_samples is no longer read: any value of it, a non-integer too,
-# exits 2 with this message instead of the integer one
-DIAGNOSTIC_SAMPLES_REMOVED = (
-    "params.diagnostic_samples is no longer read: the burn-in diagnostic "
-    "was removed, and the Monte Carlo target is now taken at burn_in, "
-    "the horizon the samples are drawn at"
-)
+# retired keys are no longer read: any value of one, a non-integer too,
+# exits 2 with its removal message instead of the integer one
+RETIRED_KEYS = {
+    "diagnostic_samples": (
+        "params.diagnostic_samples is no longer read: the burn-in diagnostic "
+        "was removed, and the Monte Carlo target is now taken at burn_in, "
+        "the horizon the samples are drawn at"
+    ),
+    "bias_burn_in": (
+        "params.bias_burn_in is no longer read: "
+        "the trajectory-mode Monte Carlo target samples N(0, S) directly"
+    ),
+}
 
 
 @pytest.mark.parametrize("value", [2.5, True])
@@ -350,9 +355,7 @@ def test_integer_param_that_is_no_integer_exits_2(
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    message = f"params.{key} must be an integer, got {value!r}"
-    if key == "diagnostic_samples":
-        message = DIAGNOSTIC_SAMPLES_REMOVED
+    message = RETIRED_KEYS.get(key, f"params.{key} must be an integer, got {value!r}")
     assert error == {"type": "ConfigError", "message": message}
     assert list(tmp_path.glob("out/*")) == []
 
@@ -365,7 +368,20 @@ def test_iid_diagnostic_samples_is_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"type": "ConfigError", "message": DIAGNOSTIC_SAMPLES_REMOVED}
+    assert error == {"type": "ConfigError", "message": RETIRED_KEYS["diagnostic_samples"]}
+    assert list(tmp_path.glob("out/*")) == []
+
+
+def test_trajectory_bias_burn_in_is_rejected(tmp_path, capsys):
+    # the 3-D norm target it sized now samples N(0, S) with no burn-in; a
+    # config that still sets it must not run as if nothing had changed
+    params = {**SMALL_DEVIATION_PARAMS, "x0": [0.0, 0.0, 0.0], "bias_burn_in": 200}
+    body = {"pipeline": "verify-deviation", "system": half_lds(params), "seed": 3,
+            "params": params}
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": RETIRED_KEYS["bias_burn_in"]}
     assert list(tmp_path.glob("out/*")) == []
 
 
@@ -514,10 +530,10 @@ def test_verify_one_sample_target_exits_2(tmp_path, capsys):
         canonical_json({"value": math.nan})
 
 
-@pytest.mark.parametrize("unused", [{"target_samples": 1}, {"bias_burn_in": 0}])
+@pytest.mark.parametrize("unused", [{"target_samples": 1}])
 def test_verify_exact_target_ignores_monte_carlo_target_sizes(tmp_path, unused):
     # the 1-D norm reward's target is exact, so the Monte Carlo target's
-    # sample count and burn-in are never used and are not checked
+    # sample count is never used and is not checked
     results = []
     for name, params in (
         ("default", SMALL_DEVIATION_PARAMS),
@@ -533,10 +549,6 @@ def test_verify_exact_target_ignores_monte_carlo_target_sizes(tmp_path, unused):
         results.append(json.loads((tmp_path / name / "report.json").read_text())["result"])
     default, changed = results
     assert changed["target_provenance"] == "half_normal_closed_form"
-    # the value given is recorded, and nothing else moves
-    burn_in = {**SMALL_DEVIATION_PARAMS, **unused}["bias_burn_in"]
-    assert changed["details"].pop("bias_burn_in") == burn_in
-    default["details"].pop("bias_burn_in")
     assert changed == default
 
 
@@ -557,33 +569,17 @@ def test_verify_bad_x0_exits_2(tmp_path, capsys, x0):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize(
-    "params, name",
-    [
-        (
-            {**SMALL_DEVIATION_PARAMS, "x0": [0.0, 0.0, 0.0], "bias_burn_in": 0},
-            "bias_burn_in",
-        ),
-        (
-            {
-                "mode": "iid", "reward": "norm", "n_samples": 5, "replications": 100,
-                "burn_in": 0, "epsilons": [0.5], "te_constant": 1e-6,
-            },
-            "burn_in",
-        ),
-    ],
-)
-def test_verify_zero_burn_in_exits_2(tmp_path, capsys, params, name):
-    # with no burn-in every endpoint (and a Monte Carlo target) is the start
+def test_verify_zero_burn_in_exits_2(tmp_path, capsys):
+    # with no burn-in every endpoint (and the Monte Carlo target) is the start
     # point, so every deviation is zero and any bound would "pass"
+    params = {**IID_PARAMS, "burn_in": 0}
     path = write_config(
         tmp_path,
-        {"pipeline": "verify-deviation", "system": half_lds(params), "seed": 42,
-         "params": params},
+        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42, "params": params},
     )
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith(name)
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith("burn_in")
     assert not (out / "report.json").exists()
 
 

@@ -2,8 +2,8 @@
 
 Every seeded output is meant to be reproducible across releases, and speed
 work on the simulation path must not move a single byte.  These hashes pin
-every pipeline end to end: trajectory mode in one and two dimensions, the
-iid pipeline on two switched systems, the contraction fit, the drift
+every pipeline end to end: trajectory mode in one and two dimensions and,
+with a Monte Carlo target, in three, the iid pipeline on two switched systems, the contraction fit, the drift
 check, the certificates of a linear and of a switched system, and an
 ``alpha`` sweep.  A change that alters seeded output
 on purpose (for example a different noise generator) updates the hashes
@@ -57,12 +57,11 @@ CONFIGS = {
                 "n_samples": 40,
                 "replications": 200,
                 "epsilons": [0.3, 0.6],
-                "bias_burn_in": 50,
                 "target_samples": 2000,
             },
         },
         0,
-        "f509bc986d873950789da8bdf87469543632e838e20c5a7e58ca2f97f4b20af4",
+        "24fe9dc280f31a186723a35991572f08ebfa72ba4a0eb67cc46124970c5791dd",
     ),
     # non-normal 2-D system over more than one replication block: from two
     # dimensions on, states depend on the batch a path is stepped in
@@ -82,7 +81,31 @@ CONFIGS = {
             },
         },
         0,
-        "d4dab3e65ff5945fd3606a9de9cb3430376ba6b3a794186ed849984681200b60",
+        "eb21041fe99336b1956cc55a4a47f6cd76f78001306df5ef3022f7d6e7eb3651",
+    ),
+    # the norm reward has no closed-form stationary mean from three
+    # dimensions up, so this target is the Monte Carlo mean over N(0, S)
+    "trajectory-lds-3d": (
+        "verify",
+        {
+            "pipeline": "verify-deviation",
+            "system": {
+                "type": "lds",
+                "A": [[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, -0.3]],
+            },
+            "seed": 19,
+            "params": {
+                "mode": "trajectory",
+                "reward": "norm",
+                "x0": [1.0, 0.0, -1.0],
+                "n_samples": 30,
+                "replications": 200,
+                "epsilons": [0.2, 0.5],
+                "target_samples": 3000,
+            },
+        },
+        0,
+        "d40b4f2a457cda62cfcabbae486ce2b20464085c3cf885c2e7a015852f322025",
     ),
     "iid-slds": (
         "verify",

@@ -345,7 +345,7 @@ def test_w1_tied_inputs_stay_optimal():
 
 def test_sample_batch_rejects_empty():
     with pytest.raises(ValueError):
-        SampleBatch(points=np.zeros((0, 1)), provenance="burn_in_endpoints")
+        SampleBatch(points=np.zeros((0, 1)))
 
 
 # ------------------------------------------------------------- burn-in sampler
@@ -356,8 +356,6 @@ def test_burn_in_zero_steps_returns_copies_of_start():
     batch = burn_in_sampler(spec, 7, 0, seed=1, x0=[2.5])
     assert batch.points.shape == (7, 1)
     assert np.all(batch.points == 2.5)
-    assert batch.provenance == "burn_in_endpoints"
-    assert batch.burn_in == 0
 
 
 def test_burn_in_variance_near_stationary():
@@ -439,7 +437,6 @@ def test_deviation_single_step_matches_gaussian_tail():
         seed=6,
         target_mean=0.0,
         target_provenance="symmetry_closed_form",
-        bias_burn_in=50,
     )
     for i, eps in enumerate(eps_grid):
         exact = 2.0 * norm.sf(eps + report.bias)
@@ -453,8 +450,7 @@ def test_deviation_single_step_matches_gaussian_tail():
 def test_deviation_huge_epsilon_never_exceeded():
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
-        spec, "norm", [0.0], 20, [50.0], 150, seed=7,
-        bias_burn_in=50, target_samples=2_000,
+        spec, "norm", [0.0], 20, [50.0], 150, seed=7, target_samples=2_000,
     )
     assert report.counts == (0,)
     assert report.frequencies == (0.0,)
@@ -465,7 +461,7 @@ def test_deviation_rerun_bit_identical():
     spec = SystemSpec.lds([[0.5]])
     kwargs = dict(
         reward="norm", x0=[1.0], n_samples=40, epsilons=[0.2, 0.6],
-        replications=300, seed=8, bias_burn_in=50, target_samples=2_000,
+        replications=300, seed=8, target_samples=2_000,
     )
     first = deviation_probability_experiment(spec, **kwargs)
     second = deviation_probability_experiment(spec, **kwargs)
@@ -502,8 +498,7 @@ def test_trajectory_blocks_fill_the_simulation_budget(
 def test_deviation_report_fields_consistent():
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
-        spec, "norm", [0.0], 30, [0.3], 200, seed=9,
-        bias_burn_in=50, target_samples=2_000,
+        spec, "norm", [0.0], 30, [0.3], 200, seed=9, target_samples=2_000,
     )
     assert 0.0 <= report.frequencies[0] <= 1.0
     assert report.ci_low[0] <= report.frequencies[0] <= report.ci_high[0]
@@ -520,17 +515,38 @@ def test_deviation_report_fields_consistent():
 
 
 def test_deviation_monte_carlo_target_in_3d():
-    # no closed form for E||X|| in three dimensions: the target is simulated
+    # no closed form for E||X|| in three dimensions: the target is the mean
+    # over draws of the stationary law N(0, S) itself
     spec = SystemSpec.lds(np.diag([0.5, 0.3, -0.4]))
     report = deviation_probability_experiment(
-        spec, "norm", [0.0, 0.0, 0.0], 30, [0.3], 200, seed=9,
-        bias_burn_in=50, target_samples=2_000,
+        spec, "norm", [0.0, 0.0, 0.0], 30, [0.3], 200, seed=9, target_samples=2_000,
     )
-    assert report.target_provenance == "monte_carlo_burn_in"
+    assert report.target_provenance == "monte_carlo_stationary"
     assert report.details["target_samples"] == 2_000
-    assert report.details["target_stderr"] > 0.0
-    exact = stationary_mean_reward(spec, "norm", precision=5e-3, seed=30).value
-    assert abs(report.target_mean - exact) < 5.0 * report.details["target_stderr"] + 5e-3
+    stderr = report.details["target_stderr"]
+    assert stderr > 0.0
+    precise = stationary_mean_reward(
+        spec, "norm", precision=5e-3, seed=30, sample_budget=200_000
+    )
+    assert precise.method == "gaussian_monte_carlo"
+    both = math.hypot(stderr, precise.ci_halfwidth / 2.5758293035489004)
+    assert abs(report.target_mean - precise.value) < 5.0 * both
+
+
+def test_deviation_monte_carlo_target_is_the_stationary_mean_estimate():
+    # the trajectory target and stationary_mean_reward share one path: at the
+    # target's own seed and sample count they agree to the bit
+    spec = SystemSpec.lds([[0.5, 0.3, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, -0.3]])
+    report = deviation_probability_experiment(
+        spec, "norm", [1.0, 0.0, 0.0], 20, [0.3], 100, seed=4, target_samples=3_000,
+    )
+    estimate = stationary_mean_reward(
+        spec, "norm", precision=1.0, seed=derive_seed(4, montecarlo._STREAM_TARGET),
+        sample_budget=3_000,
+    )
+    assert report.target_mean == estimate.value
+    assert 2.5758293035489004 * report.details["target_stderr"] == estimate.ci_halfwidth
+    assert estimate.samples == report.details["target_samples"]
 
 
 def test_deviation_bias_bounds_exact_w1():
@@ -574,12 +590,6 @@ def test_deviation_validation():
         deviation_probability_experiment(spec, "entropy", [0.0], 10, [0.5], 100, seed=1)
     with pytest.raises(ValueError, match="positive"):
         deviation_probability_experiment(spec, "norm", [0.0], 10, [-0.5], 100, seed=1)
-    # only a Monte Carlo target (the norm reward in 3-D) uses bias_burn_in
-    with pytest.raises(ValueError, match="bias_burn_in"):
-        deviation_probability_experiment(
-            SystemSpec.lds(0.5 * np.eye(3)), "norm", [0.0] * 3, 10, [0.5], 100,
-            seed=1, bias_burn_in=0,
-        )
     with pytest.raises(NotContractiveError):
         deviation_probability_experiment(
             SystemSpec.lds([[1.0]]), "norm", [0.0], 10, [0.5], 100, seed=1
@@ -589,8 +599,7 @@ def test_deviation_validation():
 def test_deviation_csv_layout(tmp_path):
     spec = SystemSpec.lds([[0.5]])
     report = deviation_probability_experiment(
-        spec, "norm", [0.0], 20, [0.4, 0.8], 150, seed=10,
-        bias_burn_in=50, target_samples=2_000,
+        spec, "norm", [0.0], 20, [0.4, 0.8], 150, seed=10, target_samples=2_000,
     )
     path = tmp_path / "rows.csv"
     report.to_csv(path)
@@ -1036,7 +1045,7 @@ def test_stationary_mean_from_sample_batch():
 @pytest.mark.parametrize(
     "target, budget, count",
     [
-        (SampleBatch(points=[[0.5]], provenance="burn_in_endpoints"), 1_000_000, 1),
+        (SampleBatch(points=[[0.5]]), 1_000_000, 1),
         (np.eye(3), 1, 1),
         (np.eye(3), 0, 0),
     ],

@@ -150,6 +150,18 @@ def test_two_dimensional_trajectory_run_does_not_load_scipy_linalg(tmp_path):
     )
 
 
+def test_three_dimensional_trajectory_run_does_not_load_scipy_linalg(tmp_path):
+    # the norm reward has no closed-form mean in 3-D: the Monte Carlo target
+    # draws N(0, S) through numpy's eigendecomposition
+    params = {"mode": "trajectory", "reward": "norm", "x0": [1.0, 0.0, -1.0],
+              "n_samples": 20, "replications": 100, "epsilons": [0.5, 1.0],
+              "target_samples": 1000}
+    system = {"type": "lds", "A": [[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, -0.3]]}
+    assert_run_loads_neither(
+        tmp_path, {"pipeline": "verify-deviation", "system": system, "seed": 42, "params": params}
+    )
+
+
 def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
     # a ball_le region settles containment without an LP, and the iid
     # experiment solves no assignment
