@@ -10,7 +10,7 @@ declarative JSON config.
 """
 
 # set before the submodule imports: ``montecarlo`` stamps it into reports
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .dynamics import (
     HypothesisError,
@@ -44,7 +44,6 @@ from .lyapunov import (
 from .montecarlo import (
     DeviationReport,
     NoSignalError,
-    SampleBatch,
     burn_in_sampler,
     contraction_rate_fit,
     deviation_probability_experiment,
@@ -114,7 +113,6 @@ __all__ = [
     # montecarlo
     "DeviationReport",
     "NoSignalError",
-    "SampleBatch",
     "burn_in_sampler",
     "contraction_rate_fit",
     "deviation_probability_experiment",

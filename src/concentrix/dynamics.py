@@ -682,6 +682,12 @@ def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
     :func:`simulate_batch`'s bit for bit in one dimension; from two on, a
     trajectory alone in its chunk or region can differ in its last bits.
 
+    The contiguous :func:`_run_steps` loop is kept on purpose.  Routing this
+    through chunked :func:`simulate_batch` keeps every byte, but ten
+    2,500-trajectory, 50-step runs on a 2-D switched system took 117-136 ms
+    instead of 96-103 ms (2 vCPUs, BLAS on one thread); stepping a contiguous
+    copy inside :func:`simulate_batch` was still about 10% slower.
+
     Returns
     -------
     ndarray of shape (len(seeds), dim).

@@ -19,6 +19,7 @@ from scipy.special import betaincinv, ellipe
 from . import __version__
 from .dynamics import (
     SystemSpec,
+    Trajectory,
     _check_vector,
     _endpoint_chunk,
     _row_sums,
@@ -45,7 +46,6 @@ from .transport import (
 __all__ = [
     "NoSignalError",
     "PrecisionError",
-    "SampleBatch",
     "WassersteinEstimate",
     "DeviationReport",
     "ContractionFit",
@@ -71,9 +71,9 @@ class PrecisionError(RuntimeError):
     """Requested precision is unreachable within the sample budget."""
 
 
-# replications per average() call: iid mode's block, and the fewest of
-# trajectory mode, whose blocks grow while their (m, T+1, n) paths fit the
-# 2 MiB simulation budget, up to a cap that bounds peak memory
+# replications per trajectory-mode average() call: from _BLOCK up while
+# their (m, T+1, n) paths fit the 2 MiB simulation budget, to a cap that
+# bounds peak memory
 _BLOCK = 256
 _TRAJECTORY_BLOCK_MAX = 512
 
@@ -128,22 +128,6 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
     return low, high
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """A nonempty (m, n) array of points, such as burn-in endpoints."""
-
-    points: np.ndarray  # (m, n)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("sample batch must be nonempty")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass(frozen=True)
 class WassersteinEstimate:
     """Empirical order-1 transport distance between equal-size batches."""
@@ -154,8 +138,6 @@ class WassersteinEstimate:
 
 
 def _batch_points(batch) -> np.ndarray:
-    if isinstance(batch, SampleBatch):
-        return batch.points
     pts = np.asarray(batch, dtype=float)
     if pts.ndim != 2:
         # a flat list is ambiguous: m points on a line or one m-vector
@@ -213,7 +195,7 @@ def _warm_started_costs(pa, pb, cost) -> None:
 def empirical_w1(a, b, *, out=None) -> WassersteinEstimate:
     """Exact empirical euclidean W1 between two equal-size point sets.
 
-    Batches are (m, n) arrays or :class:`SampleBatch` es of finite points.
+    Batches are (m, n) arrays of finite points.
     One-dimensional inputs take the sorted-matching fast path, which
     provably equals the optimal assignment; everything else solves the
     full assignment problem (size capped at 1024).
@@ -266,19 +248,20 @@ def burn_in_sampler(
     burn_in: int,
     seed: int,
     x0=None,
-) -> SampleBatch:
+) -> np.ndarray:
     """Final states of ``count`` independent trajectories of length ``burn_in``.
 
-    Each trajectory gets its own derived seed.  ``x0`` defaults to the
-    origin.  Only endpoints are kept: work is cut into chunks whose noise
-    fits the fixed budget of :func:`~concentrix.dynamics.simulate_endpoints`.
+    Returns a float64 ``(count, dim)`` array.  Each trajectory gets its own
+    derived seed.  ``x0`` defaults to the origin.  Only endpoints are kept:
+    work is cut into chunks whose noise fits the fixed budget of
+    :func:`~concentrix.dynamics.simulate_endpoints`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     start = np.zeros(spec.dim) if x0 is None else x0
-    return SampleBatch(simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count)))
+    return simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count))
 
 
 @dataclass(frozen=True)
@@ -576,10 +559,10 @@ def iid_deviation_experiment(
         "burn_in": burn_in,
     }
     if target_mean is None:
-        batch = burn_in_sampler(
+        endpoints = burn_in_sampler(
             spec, target_samples, burn_in, derive_seed(seed, _STREAM_TARGET)
         )
-        target_mean, stderr = _mean_stderr(reward_fn(batch.points))
+        target_mean, stderr = _mean_stderr(reward_fn(endpoints))
         target_provenance = "monte_carlo_burn_in"
         details.update(target_stderr=stderr, target_burn_in=burn_in)
 
@@ -588,22 +571,18 @@ def iid_deviation_experiment(
     group = max(1, _endpoint_chunk(burn_in, spec.dim) // n_samples)
 
     def average(rep_seeds):
-        out = []
-        for lo in range(0, len(rep_seeds), group):
-            reps = rep_seeds[lo : lo + group]
-            seeds = derive_seeds(reps, 0, n_samples).reshape(-1)
-            endpoints = simulate_endpoints(spec, np.zeros(spec.dim), burn_in, seeds)
-            rewards = np.asarray(reward_fn(endpoints), dtype=float)
-            # one contiguous row per replication, averaged as a whole
-            out.append(rewards.reshape(len(reps), n_samples).mean(axis=1))
-        return np.concatenate(out)
+        seeds = derive_seeds(rep_seeds, 0, n_samples).reshape(-1)
+        endpoints = simulate_endpoints(spec, np.zeros(spec.dim), burn_in, seeds)
+        rewards = np.asarray(reward_fn(endpoints), dtype=float)
+        # one contiguous row per replication, averaged as a whole
+        return rewards.reshape(len(rep_seeds), n_samples).mean(axis=1)
 
     # independent samples are the rate-zero case of the path bound
     cert = ConcentrationCertificate(
         constant=te_const, rate=0.0, n_samples=n_samples, lipschitz=lipschitz
     )
     return _deviation_report(
-        spec, reward, average, _BLOCK, cert, epsilons, replications, seed,
+        spec, reward, average, group, cert, epsilons, replications, seed,
         target_mean, target_provenance, details,
     )
 
@@ -665,7 +644,7 @@ def contraction_rate_fit(
     x0,
     n_max: int,
     per_step: int,
-    reference: SampleBatch,
+    reference: np.ndarray,
     seed: int = 0,
 ) -> ContractionFit:
     """Estimate the Wasserstein contraction rate towards a reference batch.
@@ -686,6 +665,12 @@ def contraction_rate_fit(
     Values are collected in step order, so the fit is the same to the bit
     on any number of CPUs, and a failing solve raises the error of the
     first failing pair in that order.
+
+    The per-worker buffers and ``empirical_w1(out=)`` are kept on purpose.
+    Allocating a matrix per solve left the wall time flat but raised the
+    peak RSS of the benchmark's ``slds-classical`` workload from 86.9-87.1
+    MB to 91.2 MB (2 vCPUs, BLAS on one thread), likely because freed
+    matrices stay in per-thread malloc arenas.
 
     Raises
     ------
@@ -774,15 +759,22 @@ def empirical_autocovariance(
 ) -> AutocovarianceReport:
     """Sample autocovariance of an observable along one trajectory.
 
-    Lags run 0..max_lag; the series is centered at its sample mean and each
-    lag's standard error comes from batch means with sqrt(length) batches.
+    ``trajectory`` is a :class:`~concentrix.dynamics.Trajectory` or a (T, n)
+    array of states; a 1-D array is read as (T, 1).  Lags run 0..max_lag;
+    the series is centered at its sample mean and each lag's standard error
+    comes from batch means with sqrt(length) batches.
     When (constant, rate, lipschitz) are given, the stationary envelope
     ``rate^k * constant * lipschitz^2 / (1 - rate^2)`` is attached per lag.
     """
-    states = trajectory.states if hasattr(trajectory, "states") else np.asarray(trajectory)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    if states.shape[0] == 1 and states.shape[1] > 1:
-        states = states.T
+    if isinstance(trajectory, Trajectory):
+        trajectory = trajectory.states
+    states = np.asarray(trajectory, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
+    if states.ndim != 2:
+        raise ValueError(
+            f"a trajectory must be a (T, n) array of states, got shape {states.shape}"
+        )
     if f_tag == "identity":
         if states.shape[1] != 1:
             raise ValueError("identity observable needs a one-dimensional system")
@@ -864,7 +856,8 @@ def _closed_form_mean(sigma: np.ndarray, tag: str) -> tuple[float, str] | None:
     if tag != "norm" or sigma.shape[0] > 2:
         return None
     if sigma.shape[0] == 1:
-        value = math.sqrt(float(sigma[0, 0])) * math.sqrt(2.0 / math.pi)
+        _check_psd(sigma.diagonal())
+        value = math.sqrt(max(float(sigma[0, 0]), 0.0)) * math.sqrt(2.0 / math.pi)
         return value, "half_normal_closed_form"
     eigenvalues = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     _check_psd(eigenvalues)
@@ -917,17 +910,15 @@ def stationary_mean_reward(
 ) -> MeanEstimate:
     """Mean reward under the stationary Gaussian law of a linear system.
 
-    ``target`` is a linear SystemSpec, a stationary covariance matrix, or a
-    SampleBatch of (approximately) stationary points.  The coordinate
-    reward and the norm reward in one or two dimensions have closed forms
-    (see :func:`_closed_form_mean`); other cases fall back to Monte Carlo
-    with a CLT interval at the requested precision.
+    ``target`` is a linear SystemSpec or its stationary covariance matrix.
+    The coordinate reward and the norm reward in one or two dimensions have
+    closed forms (see :func:`_closed_form_mean`); other cases fall back to
+    Monte Carlo with a CLT interval at the requested precision.
 
     Raises
     ------
     ValueError
-        If ``sample_budget`` or a SampleBatch target holds fewer than two
-        samples, too few for an interval.
+        If ``sample_budget`` is below two, too few samples for an interval.
     PrecisionError
         If the CLT 99% half-width still exceeds ``precision`` after the
         full sample budget.
@@ -935,26 +926,17 @@ def stationary_mean_reward(
     if sample_budget < 2:
         raise ValueError(f"sample_budget must be at least 2, got {sample_budget}")
     reward = _resolve_reward(reward)
-    if isinstance(target, SampleBatch):
-        if len(target) < 2:
-            raise ValueError(
-                f"a sample batch target needs at least 2 points, got {len(target)}"
-            )
-        value, stderr = _mean_stderr(reward[0](target.points))
-        method, samples = "burn_in_monte_carlo", len(target)
+    if isinstance(target, SystemSpec):
+        sigma = lds_stationary_covariance(target)
     else:
-        if isinstance(target, SystemSpec):
-            sigma = lds_stationary_covariance(target)
-        else:
-            sigma = np.atleast_2d(np.asarray(target, dtype=float))
-        value, stderr, method = _gaussian_mean(sigma, reward, sample_budget, seed)
-        if stderr is None:
-            return MeanEstimate(value=value, ci_halfwidth=0.0, method=method)
-        samples = sample_budget
+        sigma = np.atleast_2d(np.asarray(target, dtype=float))
+    value, stderr, method = _gaussian_mean(sigma, reward, sample_budget, seed)
+    if stderr is None:
+        return MeanEstimate(value=value, ci_halfwidth=0.0, method=method)
     half = 2.5758293035489004 * stderr
-    if method == "gaussian_monte_carlo" and half > precision:
+    if half > precision:
         raise PrecisionError(
             f"99% half-width {half:.3g} exceeds requested precision {precision:g} "
             f"within the {sample_budget}-sample budget"
         )
-    return MeanEstimate(value=value, ci_halfwidth=half, method=method, samples=samples)
+    return MeanEstimate(value=value, ci_halfwidth=half, method=method, samples=sample_budget)

@@ -85,8 +85,9 @@ class ConcentrationCertificate:
 
     Bundles the per-step transport constant, the contraction rate, the
     number of averaged samples, the Lipschitz constant of the observable,
-    and the start-point bias shift.  The tail bound it evaluates is
-    monotone decreasing in epsilon and in the sample count.
+    and the start-point bias shift.  The tail bound
+    :func:`trajectory_deviation_bound` computes from it is monotone
+    decreasing in epsilon and in the sample count.
     """
 
     constant: float
@@ -106,9 +107,6 @@ class ConcentrationCertificate:
             raise ValueError("Lipschitz constant must be positive")
         if self.bias < 0:
             raise ValueError("bias must be nonnegative")
-
-    def tail_bound(self, epsilon: float) -> float:
-        return trajectory_deviation_bound(self, epsilon)
 
     def to_dict(self) -> dict:
         return {

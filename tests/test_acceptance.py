@@ -150,7 +150,7 @@ def test_criterion_05_exponential_lyapunov_pipeline():
             failures.append(f"drift violated at x={x:.3f}")
 
     batch = burn_in_sampler(spec, 10_000, 100, seed=1005)
-    values = np.exp(ALPHA * np.sum(batch.points**2, axis=1))
+    values = np.exp(ALPHA * np.sum(batch**2, axis=1))
     mean = float(values.mean())
     halfwidth = 2.5758293035489004 * float(values.std(ddof=1) / math.sqrt(values.size))
     cap = drift.moment_bound

@@ -31,7 +31,6 @@ from concentrix.montecarlo import (
     ContractionFit,
     NoSignalError,
     PrecisionError,
-    SampleBatch,
     burn_in_sampler,
     clopper_pearson,
     contraction_rate_fit,
@@ -343,32 +342,29 @@ def test_w1_tied_inputs_stay_optimal():
             assert value == pytest.approx(brute_force_w1(a, b), rel=1e-12, abs=0.0)
 
 
-def test_sample_batch_rejects_empty():
-    with pytest.raises(ValueError):
-        SampleBatch(points=np.zeros((0, 1)))
-
-
 # ------------------------------------------------------------- burn-in sampler
 
 
 def test_burn_in_zero_steps_returns_copies_of_start():
     spec = SystemSpec.lds([[0.5]])
     batch = burn_in_sampler(spec, 7, 0, seed=1, x0=[2.5])
-    assert batch.points.shape == (7, 1)
-    assert np.all(batch.points == 2.5)
+    assert isinstance(batch, np.ndarray)
+    assert batch.dtype == np.float64
+    assert batch.shape == (7, 1)
+    assert np.all(batch == 2.5)
 
 
 def test_burn_in_variance_near_stationary():
     spec = SystemSpec.lds([[0.5]])
     batch = burn_in_sampler(spec, 10_000, 50, seed=2)
-    assert batch.points.var() == pytest.approx(4.0 / 3.0, rel=0.05)
+    assert batch.var() == pytest.approx(4.0 / 3.0, rel=0.05)
 
 
 def test_burn_in_deterministic_and_worker_invariant():
     spec = SystemSpec.lds([[0.7]])
     a = burn_in_sampler(spec, 600, 20, seed=3)
     b = burn_in_sampler(spec, 600, 20, seed=3)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_burn_in_is_one_endpoint_run(monkeypatch):
@@ -379,7 +375,7 @@ def test_burn_in_is_one_endpoint_run(monkeypatch):
         [(Predicate(ball_le=1.0), np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
     )
     seeds = derive_seeds(3, 0, 600)
-    points = burn_in_sampler(spec, 600, 20, seed=3).points
+    points = burn_in_sampler(spec, 600, 20, seed=3)
     assert np.array_equal(points, simulate_endpoints(spec, np.zeros(2), 20, seeds))
     assert np.array_equal(points, simulate_batch(spec, np.zeros(2), 20, seeds)[:, -1])
 
@@ -392,7 +388,7 @@ def test_burn_in_covariance_converges_monotonically():
     deviations = []
     for t in (1, 3, 6, 9):
         batch = burn_in_sampler(spec, 10_000, t, seed=4)
-        deviations.append(abs(batch.points.var() - target))
+        deviations.append(abs(batch.var() - target))
     assert deviations == sorted(deviations, reverse=True)
     assert deviations[-1] < 2.0 * deviations[0] * 0.81 ** 8
 
@@ -875,6 +871,19 @@ def test_autocovariance_within_envelope():
         assert abs(report.values[k]) <= report.bounds[k] + 3.0 * report.stderrs[k]
 
 
+def test_autocovariance_reads_arrays_as_time_by_dimension():
+    spec = SystemSpec.lds([[0.5]])
+    traj = simulate(spec, [0.0], 2_000, seed=26)
+    expected = empirical_autocovariance(traj, "identity", 5)
+    assert empirical_autocovariance(traj.states, "identity", 5) == expected
+    assert empirical_autocovariance(traj.states[:, 0], "identity", 5) == expected
+    # a (1, T) array is one T-dimensional state, not a T-step series
+    with pytest.raises(ValueError, match="too short"):
+        empirical_autocovariance(np.ones((1, 12)) * np.arange(12), "norm", 1)
+    with pytest.raises(ValueError, match=r"\(T, n\) array"):
+        empirical_autocovariance(np.zeros((20, 1, 1)), "norm", 1)
+
+
 def test_autocovariance_requires_long_trajectory():
     spec = SystemSpec.lds([[0.5]])
     traj = simulate(spec, [0.0], 50, seed=25)
@@ -1033,23 +1042,22 @@ def test_stationary_mean_2d_norm_isotropic_and_degenerate():
         stationary_mean_reward(np.diag([1.0, -1.0]), "norm")
 
 
-def test_stationary_mean_from_sample_batch():
-    spec = SystemSpec.lds([[0.5]])
-    batch = burn_in_sampler(spec, 50_000, 60, seed=29)
-    est = stationary_mean_reward(batch, "norm")
-    assert est.method == "burn_in_monte_carlo"
-    assert est.value == pytest.approx(math.sqrt(8.0 / (3.0 * math.pi)), abs=0.02)
-    assert est.ci_halfwidth > 0.0
+def test_stationary_mean_1d_covariance_must_be_psd():
+    # the half-normal branch checks sigma as the 2-D branch does, rather
+    # than failing inside math.sqrt
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        stationary_mean_reward(np.array([[-1.0]]), "norm")
+    # a rounding-level negative passes the check and reads as zero
+    assert stationary_mean_reward(np.array([[-1e-12]]), "norm").value == 0.0
 
 
 @pytest.mark.parametrize(
     "target, budget, count",
     [
-        (SampleBatch(points=[[0.5]]), 1_000_000, 1),
         (np.eye(3), 1, 1),
         (np.eye(3), 0, 0),
     ],
-    ids=["one-point-batch", "budget-1", "budget-0"],
+    ids=["budget-1", "budget-0"],
 )
 def test_stationary_mean_rejects_fewer_than_two_samples(target, budget, count):
     # one sample gives no interval and none gives no mean; a NaN half-width
