@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it lazily: pay at start-up, not in a run
 
 __all__ = [
     "HypothesisError",

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, ellipe
 
 from . import __version__
+from ._special import betaincinv, ellipe
 from .dynamics import (
     SystemSpec,
     Trajectory,
@@ -109,7 +109,8 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
     """Two-sided exact binomial confidence interval for a frequency.
 
     Each bound is a quantile of a beta law, taken from the inverse
-    regularized incomplete beta function ``scipy.special.betaincinv``.
+    regularized incomplete beta function ``concentrix._special.betaincinv``,
+    which agrees with ``scipy.special.betaincinv`` to a few ulps.
     ``level`` must lie strictly between 0 and 1.
     """
     if not (0 <= successes <= trials) or trials < 1:
@@ -120,11 +121,11 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
     if successes == 0:
         low = 0.0
     else:
-        low = float(betaincinv(successes, trials - successes + 1, tail))
+        low = betaincinv(successes, trials - successes + 1, tail)
     if successes == trials:
         high = 1.0
     else:
-        high = float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
+        high = betaincinv(successes + 1, trials - successes, 1.0 - tail)
     return low, high
 
 
@@ -862,7 +863,7 @@ def _closed_form_mean(sigma: np.ndarray, tag: str) -> tuple[float, str] | None:
     eigenvalues = np.linalg.eigvalsh(0.5 * (sigma + sigma.T))
     _check_psd(eigenvalues)
     low, high = np.clip(eigenvalues, 0.0, None)
-    value = math.sqrt(2.0 * high / math.pi) * float(ellipe(1.0 - low / high)) if high else 0.0
+    value = math.sqrt(2.0 * high / math.pi) * ellipe(1.0 - low / high) if high else 0.0
     return value, "elliptic_closed_form"
 
 
@@ -918,7 +919,9 @@ def stationary_mean_reward(
     Raises
     ------
     ValueError
-        If ``sample_budget`` is below two, too few samples for an interval.
+        If ``sample_budget`` is below two, too few samples for an interval,
+        or the covariance has a non-finite entry or is not positive
+        semidefinite.
     PrecisionError
         If the CLT 99% half-width still exceeds ``precision`` after the
         full sample budget.
@@ -930,6 +933,9 @@ def stationary_mean_reward(
         sigma = lds_stationary_covariance(target)
     else:
         sigma = np.atleast_2d(np.asarray(target, dtype=float))
+        # eigvalsh can return finite eigenvalues for a matrix holding NaN
+        if not np.isfinite(sigma).all():
+            raise ValueError("covariance has non-finite entries")
     value, stderr, method = _gaussian_mean(sigma, reward, sample_budget, seed)
     if stderr is None:
         return MeanEstimate(value=value, ci_halfwidth=0.0, method=method)

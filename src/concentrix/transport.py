@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._special import logsumexp
 from .dynamics import SystemSpec, spectral_norm
 
 __all__ = [
@@ -149,7 +149,10 @@ def lds_certificate(a) -> tuple[T1Certificate, ContractionCertificate]:
 
 
 def _check_psd(eigenvalues: np.ndarray, tol: float = 1e-9) -> None:
-    """Reject a symmetric matrix whose eigenvalues dip below ``-tol`` (relative)."""
+    """Reject a symmetric matrix whose eigenvalues dip below ``-tol`` (relative)
+    or are not finite."""
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError("matrix has a non-finite eigenvalue")
     low = eigenvalues.min()
     if low < -tol * max(1.0, abs(eigenvalues.max())):
         raise ValueError(f"matrix is not positive semidefinite (min eig {low:.3g})")

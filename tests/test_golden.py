@@ -61,7 +61,7 @@ CONFIGS = {
             },
         },
         0,
-        "24fe9dc280f31a186723a35991572f08ebfa72ba4a0eb67cc46124970c5791dd",
+        "a95cb32d19185721d3a6c4c1d0580ceff4334a28c3cf1f178eb1e5c48effd0e5",
     ),
     # non-normal 2-D system over more than one replication block: from two
     # dimensions on, states depend on the batch a path is stepped in
@@ -81,7 +81,7 @@ CONFIGS = {
             },
         },
         0,
-        "eb21041fe99336b1956cc55a4a47f6cd76f78001306df5ef3022f7d6e7eb3651",
+        "2c4bdd1868ce2d515e07d2d9740317bf38e1f8986490e939d47ebc27827c8ac5",
     ),
     # the norm reward has no closed-form stationary mean from three
     # dimensions up, so this target is the Monte Carlo mean over N(0, S)
@@ -105,7 +105,7 @@ CONFIGS = {
             },
         },
         0,
-        "d40b4f2a457cda62cfcabbae486ce2b20464085c3cf885c2e7a015852f322025",
+        "4840c40d92a6ad4d1d5eb969ae7489ab4847981bd99da14f4fc12b105b066379",
     ),
     "iid-slds": (
         "verify",
@@ -126,7 +126,7 @@ CONFIGS = {
             },
         },
         0,
-        "2c60864e84fdf58e5ba82e2e48c749c820ec10be4d24af31c48ea29b5784d907",
+        "a3556018e6e441a3c50ce306e548b2f2c41e762491b96fa9476601538b202e52",
     ),
     "iid-slds-3-regions": (
         "verify",
@@ -147,7 +147,7 @@ CONFIGS = {
             },
         },
         0,
-        "e7702d235fc79c9ee3d743ac36b9358feedbb012d215fd9f3203c671cd77327d",
+        "663806c946a72dc1d0a93cd0bee3e4494fb7b0e0b03bd6a97a0eab85f22ddbe8",
     ),
     "contraction": (
         "verify",

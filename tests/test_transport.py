@@ -19,6 +19,7 @@ from concentrix.transport import (
     tensorized_constant,
     trajectory_deviation_bound,
 )
+from concentrix.transport import _check_psd
 
 
 # ---------------------------------------------------------------- certificates
@@ -228,3 +229,10 @@ def test_gap_rademacher_nonpositive():
 def test_gap_rejects_empty():
     with pytest.raises(ValueError):
         bobkov_goetze_gap([], 1.0, 1.0)
+
+
+def test_psd_check_rejects_non_finite_eigenvalues():
+    # NaN compares False with the negative-eigenvalue threshold
+    for eigenvalues in ([math.nan], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_psd(np.array(eigenvalues))
