@@ -80,6 +80,23 @@ def loaded(names) -> str:
 LOADED_SCIPY = "import sys; print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    # importing scipy.stats adds about 0.6 s and 20 MB to every start-up
+    probe = "import sys, concentrix.cli; print('scipy.stats' in sys.modules)"
+    assert run_probe(probe) == "False"
+
+
+def test_cli_import_does_not_load_optimize_or_spatial():
+    # together about 0.25 s and 17 MB of start-up that a linear run never uses
+    assert run_probe("import concentrix.cli\n" + loaded(DEFERRED)) == "[]"
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # about 0.1 s and 6 MB of start-up; the stationary covariance below 10
+    # dimensions is solved in numpy
+    assert run_probe("import concentrix.cli\n" + loaded(["scipy.linalg"])) == "[]"
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.special alone cost about 0.26 s and 28 MB of every start-up;
     # concentrix._special replaces its three functions
