@@ -27,7 +27,9 @@ each step's products to the noise already there, so no separate noise
 array is held.  Endpoint runs keep two contiguous state buffers and draw
 their noise in chunks cut by a fixed 2 MiB budget, so the library, not a
 config, fixes the batches; raising the budget from 1 MiB moved no golden
-byte.
+byte.  An endpoint run can also step several trajectories through one
+seed's stream, one block of draws after another; a stream that a chunk
+boundary cuts continues in the next chunk.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import ctypes
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -82,32 +85,26 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def derive_seeds(master_seed, start: int, stop: int) -> np.ndarray:
+def derive_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """``derive_seed(master_seed, i)`` for every ``i`` in ``range(start, stop)``.
 
     Parameters
     ----------
-    master_seed : int or ndarray
-        One master seed (an int, reduced mod 2**64), or a 1-D uint64 array
-        of master seeds.
+    master_seed : int
+        Master seed, reduced mod 2**64.
     start, stop : int
         Index range; ``start`` must be nonnegative.
 
     Returns
     -------
-    ndarray of uint64
-        Shape ``(stop - start,)`` for one master, ``(len(master_seed),
-        stop - start)`` for an array of masters.
+    ndarray of uint64, shape ``(stop - start,)``
     """
     if start < 0:
         raise ValueError("index must be nonnegative")
-    if isinstance(master_seed, np.ndarray):
-        masters = master_seed.astype(np.uint64, copy=False)[:, None]
-    else:
-        masters = np.uint64(int(master_seed) & _MASK64)
+    master = np.uint64(int(master_seed) & _MASK64)
     indices = np.arange(max(stop - start, 0), dtype=np.uint64)
     steps = (indices + np.uint64((start + 1) & _MASK64)) * np.uint64(_GOLDEN)
-    return _mix64(_mix64(masters + steps))
+    return _mix64(_mix64(master + steps))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -261,16 +258,24 @@ def _pcg64_struct(bit_generator: np.random.PCG64) -> tuple[np.ndarray, bool]:
     raise RuntimeError("numpy's PCG64 state has an unknown memory layout")
 
 
-def _fill_standard_normals(out: np.ndarray, seeds: np.ndarray) -> None:
+def _noise_generator() -> tuple[np.random.Generator, np.ndarray, bool]:
+    """A generator to draw streams with, its ``pcg64_random_t`` and limb order."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    return (gen, *_pcg64_struct(gen.bit_generator))
+
+
+def _fill_standard_normals(out, seeds: np.ndarray, generator=None) -> None:
     """Fill each ``out[i]`` with PCG64(seeds[i])'s first draws, in order.
 
-    ``out[i]`` must be C-contiguous; ``out`` itself need not be.  One
-    generator draws every row.  Before each row, that seed's state is copied
-    into the generator's ``pcg64_random_t`` (:func:`_pcg64_struct`), which
-    costs less than the ``state`` setter or a new PCG64.
+    ``out`` is an array or an iterable of arrays, and each ``out[i]`` must be
+    C-contiguous.  One generator draws every row.  Before each row, that
+    seed's state is copied into the generator's ``pcg64_random_t``
+    (:func:`_pcg64_struct`), which costs less than the ``state`` setter or a
+    new PCG64.  ``generator``, from :func:`_noise_generator`, is the one used
+    when given; it is left in the last row's stream, where further draws
+    continue that stream.
     """
-    gen = np.random.Generator(np.random.PCG64(0))
-    struct, high_first = _pcg64_struct(gen.bit_generator)
+    gen, struct, high_first = generator or _noise_generator()
     for row, limbs in zip(out, _pcg64_states(seeds, high_first)):
         struct[...] = limbs
         gen.standard_normal(out=row)
@@ -675,13 +680,26 @@ def _endpoint_chunk(n_steps: int, dim: int) -> int:
     return max(1, _NOISE_BUDGET_BYTES // max(1, n_steps * dim * 8))
 
 
-def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
-    """Final states of :func:`simulate_batch`, without the paths.
+def simulate_endpoints(
+    spec: SystemSpec, x0, n_steps: int, seeds, per_seed: int = 1
+) -> np.ndarray:
+    """Final states of ``per_seed`` trajectories per seed, without the paths.
+
+    Trajectory ``t`` takes its noise from seed ``t // per_seed``: the
+    trajectories of one seed step through consecutive blocks of ``n_steps *
+    dim`` draws of ``Generator(PCG64(seed))``, in order.  With the default
+    ``per_seed=1`` every trajectory has a seed of its own, and the states are
+    :func:`simulate_batch`'s final states, bit for bit in one dimension; from
+    two on, a trajectory alone in its chunk or region can differ in its last
+    bits.  Opening a stream costs about as much as 100 draws, so a caller
+    that needs many endpoints of one law takes them from few long streams.
 
     Trajectories run in chunks whose noise fits a fixed byte budget, so
-    memory stays bounded however many seeds are given.  The states are
-    :func:`simulate_batch`'s bit for bit in one dimension; from two on, a
-    trajectory alone in its chunk or region can differ in its last bits.
+    memory stays bounded however many seeds are given.  A chunk boundary
+    can cut a seed's trajectories in two: the generator keeps that stream's
+    state, and the next chunk continues its draws, so every trajectory's
+    noise is the same under any chunking.  numpy's ``standard_normal`` drawn
+    in pieces equals the same draws taken at once.
 
     The contiguous :func:`_run_steps` loop is kept on purpose.  Routing this
     through chunked :func:`simulate_batch` keeps every byte, but ten
@@ -691,18 +709,38 @@ def simulate_endpoints(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (len(seeds), dim).
+    ndarray of shape (len(seeds) * per_seed, dim).
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    if per_seed < 1:
+        raise ValueError("per_seed must be at least 1")
     x0v = _check_vector(x0, spec.dim, "x0")
     seeds = _seed_array(seeds)
-    out = np.empty((len(seeds), spec.dim))
+    total = len(seeds) * per_seed
+    out = np.empty((total, spec.dim))
     chunk = _endpoint_chunk(n_steps, spec.dim)
-    for lo in range(0, len(seeds), chunk):
-        noise = _standard_normals(seeds[lo : lo + chunk], n_steps, spec.dim)
-        out[lo : lo + chunk] = _run_steps(spec, x0v, noise)
-        del noise  # free this chunk's noise before the next one is drawn
+    generator = _noise_generator()
+    for lo in range(0, total, chunk):
+        noise = np.empty((min(chunk, total - lo), n_steps, spec.dim))
+        # first the rest of the stream the previous chunk cut, then whole
+        # streams, then the start of one that the next chunk continues
+        head = min(-lo % per_seed, len(noise))
+        if head:
+            generator[0].standard_normal(out=noise[:head])
+        whole, rest = divmod(len(noise) - head, per_seed)
+        stop = head + whole * per_seed
+        first = -(-lo // per_seed)
+        # each stream fills one flat span: a little faster to draw into than
+        # one (n_steps, dim) block per trajectory
+        spans = noise[head:stop].reshape(whole, per_seed * n_steps * spec.dim)
+        _fill_standard_normals(
+            chain(spans, [noise[stop:].reshape(-1)]),
+            seeds[first : first + whole + (rest > 0)],
+            generator,
+        )
+        out[lo : lo + len(noise)] = _run_steps(spec, x0v, noise)
+        del noise, spans  # free this chunk's noise, views too, before the next
     return out
 
 

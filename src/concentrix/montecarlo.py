@@ -1,8 +1,13 @@
 """Monte Carlo verification of concentration certificates.
 
 Every experiment here is deterministic given its master seed: each
-replication and each trajectory gets its own seed from a fixed avalanche
-derivation, so a report's bytes depend only on the config and the seed.
+replication gets its own seed from a fixed avalanche derivation, so a
+report's bytes depend only on the config and the seed.  A trajectory-mode
+replication is one path from its seed.  An iid replication steps all its
+endpoints from its one PCG64 stream, each from the next block of draws.
+Target and reference endpoints, and contraction-fit trajectories, each get
+a seed of their own.  Seeds are derived by index, so a run with fewer
+replications gets the first averages of a longer run.
 """
 
 from __future__ import annotations
@@ -408,7 +413,9 @@ def _deviation_report(
     )
     deviations = np.abs(averages - target_mean)
     counts = tuple(int(np.sum(deviations > cert.bias + eps)) for eps in epsilons)
-    intervals = [clopper_pearson(k, replications) for k in counts]
+    # equal counts share an interval: most rows of a run often count zero
+    distinct = {k: clopper_pearson(k, replications) for k in set(counts)}
+    intervals = [distinct[k] for k in counts]
     bounds = tuple(trajectory_deviation_bound(cert, eps) for eps in epsilons)
     return DeviationReport(
         epsilons=epsilons,
@@ -530,8 +537,13 @@ def iid_deviation_experiment(
 
     Each replication averages the reward over ``n_samples`` independent
     endpoints, each ``burn_in`` steps from the origin, so every sample has
-    the law mu_b of that horizon.  An unsupplied target is the Monte Carlo
-    mean of ``target_samples`` endpoints drawn from that same law, and a
+    the law mu_b of that horizon.  Replication r draws its noise from one
+    stream, ``Generator(PCG64(derive_seed(derive_seed(seed, 1), r)))``, and
+    endpoint j steps through its j-th block of ``burn_in * dim`` draws: one
+    stream per replication instead of one per endpoint, since opening a
+    stream costs about as much as drawing 100 normals.  An unsupplied target
+    is the Monte Carlo mean of ``target_samples`` endpoints drawn from that
+    same law, each from its own seed (:func:`burn_in_sampler`), and a
     supplied ``target_mean`` must describe mu_b, not the stationary law.
 
     Bounds use ``te_const`` as the transport-entropy constant of mu_b.  The
@@ -572,8 +584,9 @@ def iid_deviation_experiment(
     group = max(1, _endpoint_chunk(burn_in, spec.dim) // n_samples)
 
     def average(rep_seeds):
-        seeds = derive_seeds(rep_seeds, 0, n_samples).reshape(-1)
-        endpoints = simulate_endpoints(spec, np.zeros(spec.dim), burn_in, seeds)
+        endpoints = simulate_endpoints(
+            spec, np.zeros(spec.dim), burn_in, rep_seeds, per_seed=n_samples
+        )
         rewards = np.asarray(reward_fn(endpoints), dtype=float)
         # one contiguous row per replication, averaged as a whole
         return rewards.reshape(len(rep_seeds), n_samples).mean(axis=1)

@@ -588,15 +588,6 @@ def test_derive_seeds_match_scalar_derivation(master):
     assert derive_seeds(master, 3, 3).shape == (0,)
 
 
-def test_derive_seeds_over_an_array_of_masters():
-    masters = np.array(EDGE_MASTERS, dtype=np.uint64)
-    table = derive_seeds(masters, 0, 7)
-    assert table.shape == (4, 7)
-    assert table.tolist() == [
-        [_splitmix64_reference(m, i) for i in range(7)] for m in EDGE_MASTERS
-    ]
-
-
 def _pcg64_carries(seed):
     """Whether PCG64 seeding carries out of the low limb in its two additions.
 
@@ -842,6 +833,100 @@ def test_simulate_endpoints_holds_one_noise_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * dynamics._NOISE_BUDGET_BYTES
+
+
+ENDPOINT_SYSTEMS = [
+    (SystemSpec.lds([[0.9]]), [1.5]),
+    (
+        SystemSpec.slds(
+            [
+                (Predicate(ball_le=1.0), np.eye(2)),
+                (Predicate(halfspaces=(((1.0, 0.0), -2.0),)), 0.3 * np.eye(2)),
+                (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+            ]
+        ),
+        [-3.0, 0.5],
+    ),
+    (SystemSpec.lds([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]), [2.0, -1.0, 0.5]),
+]
+
+
+def _endpoints_in_chunks(spec, x0, noise):
+    """Final states of the paths driven by ``noise``, stepped chunk by chunk."""
+    chunk = dynamics._endpoint_chunk(noise.shape[1], spec.dim)
+    x0v = np.asarray(x0, dtype=float)
+    out = np.empty((len(noise), spec.dim))
+    for lo in range(0, len(noise), chunk):
+        out[lo : lo + chunk] = dynamics._run_steps(spec, x0v, noise[lo : lo + chunk])
+    return out
+
+
+@pytest.mark.parametrize("spec, x0", ENDPOINT_SYSTEMS)
+@pytest.mark.parametrize("per_chunk", [1, 4, 7, 64])
+def test_one_trajectory_per_seed_keeps_the_endpoint_bits(spec, x0, per_chunk, monkeypatch):
+    # per_seed=1 is the endpoint run as it was before per_seed existed: each
+    # chunk's noise drawn seed by seed from the start of every stream
+    n_steps = 9
+    monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", per_chunk * n_steps * spec.dim * 8)
+    seeds = derive_seeds(8, 0, 30)
+    noise = dynamics._standard_normals(seeds, n_steps, spec.dim)
+    expected = _endpoints_in_chunks(spec, x0, noise)
+    assert np.array_equal(simulate_endpoints(spec, x0, n_steps, seeds), expected)
+    assert np.array_equal(simulate_endpoints(spec, x0, n_steps, seeds, per_seed=1), expected)
+
+
+@pytest.mark.parametrize("spec, x0", ENDPOINT_SYSTEMS)
+@pytest.mark.parametrize("n_steps", [0, 9])
+@pytest.mark.parametrize("per_seed", [2, 3, 10])
+@pytest.mark.parametrize("per_chunk", [1, 4, 7, 1000])
+def test_trajectories_of_one_seed_continue_its_stream_across_chunks(
+    spec, x0, n_steps, per_seed, per_chunk, monkeypatch
+):
+    # with 7 per chunk and 3 per seed, streams start and end inside a chunk
+    # and chunk boundaries cut them; with 10 per seed one stream fills whole
+    # chunks, and with 1000 per chunk no stream is cut
+    monkeypatch.setattr(
+        dynamics, "_NOISE_BUDGET_BYTES", per_chunk * max(1, n_steps * spec.dim * 8)
+    )
+    seeds = derive_seeds(9, 0, 11)
+    noise = np.concatenate(
+        [
+            np.random.Generator(np.random.PCG64(seed)).standard_normal(
+                (per_seed, n_steps, spec.dim)
+            )
+            for seed in seeds.tolist()
+        ]
+    )
+    endpoints = simulate_endpoints(spec, x0, n_steps, seeds, per_seed=per_seed)
+    assert endpoints.shape == (len(seeds) * per_seed, spec.dim)
+    assert np.array_equal(endpoints, _endpoints_in_chunks(spec, x0, noise))
+    # A = 0 from the origin: each endpoint is its last step's noise
+    zero = SystemSpec.lds(np.zeros((spec.dim, spec.dim)))
+    if n_steps:
+        last = simulate_endpoints(zero, np.zeros(spec.dim), n_steps, seeds, per_seed=per_seed)
+        assert np.array_equal(last, noise[:, -1])
+
+
+def test_per_seed_must_be_positive():
+    with pytest.raises(ValueError, match="per_seed"):
+        simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 3, [1], per_seed=0)
+    assert simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 3, [], per_seed=5).shape == (0, 1)
+
+
+def test_long_streams_hold_one_noise_chunk():
+    # two seeds' 10,000 trajectories of 200 steps span 8 chunks of 2 MiB
+    # noise; a cut stream continues in the next chunk without holding two
+    tracemalloc.start()
+    try:
+        endpoints = simulate_endpoints(
+            SystemSpec.lds([[0.5]]), [0.0], 200, [7, 8], per_seed=5_000
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * dynamics._NOISE_BUDGET_BYTES
+    # the stationary variance of x' = x/2 + noise is 4/3
+    assert endpoints.var() == pytest.approx(4.0 / 3.0, rel=0.05)
 
 
 def test_simulate_batch_holds_one_path_array():

@@ -126,7 +126,7 @@ CONFIGS = {
             },
         },
         0,
-        "a3556018e6e441a3c50ce306e548b2f2c41e762491b96fa9476601538b202e52",
+        "57da3be408fe6a6965655de32d59e282af6d37b083e7ab46c9c634c7c96c64a3",
     ),
     "iid-slds-3-regions": (
         "verify",
@@ -147,7 +147,7 @@ CONFIGS = {
             },
         },
         0,
-        "663806c946a72dc1d0a93cd0bee3e4494fb7b0e0b03bd6a97a0eab85f22ddbe8",
+        "9a5b3a96b1c988ea91c6d71ea1e7274467e55866133c8669d0586f08c266123e",
     ),
     "contraction": (
         "verify",

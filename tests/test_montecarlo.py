@@ -651,7 +651,8 @@ def test_iid_tiny_epsilon_bound_saturates():
 
 def test_iid_single_sample_consistency():
     # N=1 averages a single endpoint, so counts must equal a direct tally
-    # over endpoints regenerated with the documented seed derivation
+    # over endpoints regenerated with the documented seed derivation: the
+    # one endpoint of replication i is the start of replication i's stream
     spec = SystemSpec.lds([[0.5]])
     seed, burn_in, reps = 13, 40, 120
     target = math.sqrt(8.0 / (3.0 * math.pi))
@@ -663,11 +664,145 @@ def test_iid_single_sample_consistency():
     rep_stream = derive_seed(seed, 1)
     endpoints = []
     for i in range(reps):
-        endpoint_seed = derive_seed(derive_seed(rep_stream, i), 0)
+        endpoint_seed = derive_seed(rep_stream, i)
         traj = simulate(spec, [0.0], burn_in, endpoint_seed)
         endpoints.append(abs(traj.states[-1, 0]))
     expected = sum(1 for v in endpoints if abs(v - target) > 0.5)
     assert report.counts == (expected,)
+
+
+def _recorded_iid_averages(monkeypatch, *args, **kwargs):
+    """(report, replication averages) of one iid experiment, in order."""
+    averages = []
+    report_of = montecarlo._deviation_report
+
+    def recording(spec, reward, average, *rest):
+        def recorded(seeds):
+            values = average(seeds)
+            averages.append(values)
+            return values
+
+        return report_of(spec, reward, recorded, *rest)
+
+    monkeypatch.setattr(montecarlo, "_deviation_report", recording)
+    report = iid_deviation_experiment(*args, **kwargs)
+    monkeypatch.undo()
+    return report, np.concatenate(averages)
+
+
+def test_iid_replication_steps_through_one_stream(monkeypatch):
+    # replication r's endpoints are stepped from consecutive blocks of
+    # burn_in draws of Generator(PCG64(derive_seed(rep_stream, r)))
+    a, n_samples, burn_in, reps, seed = 0.7, 40, 12, 150, 23
+    report, averages = _recorded_iid_averages(
+        monkeypatch, SystemSpec.lds([[a]]), "coordinate", n_samples=n_samples,
+        replications=reps, burn_in=burn_in, epsilons=[0.1], te_const=4.0, seed=seed,
+        target_mean=0.0, target_provenance="symmetry_closed_form",
+    )
+    rep_stream = derive_seed(seed, montecarlo._STREAM_REPLICATION)
+    expected = np.empty(reps)
+    for r in range(reps):
+        gen = np.random.Generator(np.random.PCG64(derive_seed(rep_stream, r)))
+        noise = gen.standard_normal((n_samples, burn_in, 1))
+        x = np.zeros(n_samples)
+        for k in range(burn_in):
+            x = a * x + noise[:, k, 0]
+        expected[r] = x.mean()
+    assert np.array_equal(averages, expected)
+    assert report.counts == (int(np.sum(np.abs(expected) > 0.1)),)
+
+
+IID_CHUNKING = [
+    (SystemSpec.lds([[0.5]]), "norm", 50),
+    # 2-D: the chunks keep at least two rows, so no product takes numpy's
+    # lone-row route
+    (SystemSpec.lds([[0.5, 0.3], [0.0, 0.4]]), "norm", 50),
+]
+
+
+@pytest.mark.parametrize("spec, reward, n_samples", IID_CHUNKING)
+def test_iid_report_does_not_depend_on_the_noise_chunk(spec, reward, n_samples, monkeypatch):
+    # 8 endpoints per chunk: each 50-endpoint replication spans 7 chunks and
+    # 6 of its chunk boundaries cut its stream
+    burn_in = 10
+
+    def run():
+        return iid_deviation_experiment(
+            spec, reward, n_samples=n_samples, replications=120, burn_in=burn_in,
+            epsilons=[0.05, 0.1, 0.2], te_const=4.0, seed=31, target_samples=500,
+        )
+
+    default = json.dumps(run().to_dict(), sort_keys=True)
+    monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", 8 * burn_in * spec.dim * 8)
+    assert dynamics._endpoint_chunk(burn_in, spec.dim) == 8
+    assert json.dumps(run().to_dict(), sort_keys=True) == default
+
+
+@pytest.mark.parametrize(
+    "spec, reward, short",
+    [
+        (SystemSpec.lds([[0.5]]), "coordinate", 137),
+        # 2-D batches hold whole groups of 218 replications in both runs
+        (
+            SystemSpec.slds(
+                [
+                    (Predicate(ball_le=1.0), np.eye(2)),
+                    (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+                ]
+            ),
+            "norm",
+            218,
+        ),
+    ],
+)
+def test_iid_averages_of_fewer_replications_are_a_prefix(spec, reward, short, monkeypatch):
+    # streams are derived by replication index, so a shorter run's averages
+    # are the first ones of a longer run
+    common = dict(
+        n_samples=30, burn_in=20, epsilons=[0.2], te_const=4.0, seed=41,
+        target_mean=0.5, target_provenance="stated",
+    )
+    assert short == 137 or dynamics._endpoint_chunk(20, spec.dim) // 30 == short
+    _, full = _recorded_iid_averages(monkeypatch, spec, reward, replications=300, **common)
+    _, prefix = _recorded_iid_averages(monkeypatch, spec, reward, replications=short, **common)
+    assert len(full) == 300 and len(prefix) == short
+    assert np.array_equal(prefix, full[:short])
+
+
+def _endpoint_covariance(a, steps):
+    """Sigma_b = sum over k < steps of A^k (A^k)^T: an endpoint's covariance."""
+    a = np.asarray(a, dtype=float)
+    power, sigma = np.eye(len(a)), np.zeros((len(a), len(a)))
+    for _ in range(steps):
+        sigma += power @ power.T
+        power = a @ power
+    return sigma
+
+
+@pytest.mark.parametrize(
+    "a, seed", [([[0.5]], 51), ([[0.6, 0.8], [0.0, -0.3]], 52)]
+)
+def test_iid_frequencies_match_the_exact_gaussian_tail(a, seed):
+    # with the coordinate reward, an endpoint b steps from the origin has
+    # coordinate 0 distributed N(0, (Sigma_b)_00), so the average of n
+    # independent endpoints is exactly N(0, (Sigma_b)_00 / n) and
+    # P(|avg| > eps) = erfc(eps / sqrt(2 var)).  A wrong block layout (shared,
+    # overlapping or reordered draws) changes that law.
+    n_samples, burn_in, reps = 10, 6, 4000
+    sd = math.sqrt(_endpoint_covariance(a, burn_in)[0, 0] / n_samples)
+    multiples = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    report = iid_deviation_experiment(
+        SystemSpec.lds(a), "coordinate", n_samples=n_samples, replications=reps,
+        burn_in=burn_in, epsilons=[m * sd for m in multiples], te_const=100.0,
+        seed=seed, target_mean=0.0, target_provenance="symmetry_closed_form",
+    )
+    assert report.bias == 0.0
+    # Bonferroni: a 1% family-wise level over the grid
+    level = 1.0 - 0.01 / len(multiples)
+    for m, count in zip(multiples, report.counts):
+        exact = math.erfc(m / math.sqrt(2.0))
+        low, high = clopper_pearson(count, reps, level)
+        assert low <= exact <= high, (m, count, exact)
 
 
 def test_iid_validation():
@@ -1100,6 +1235,32 @@ def test_clopper_pearson_brackets_frequency():
     for k, m in [(3, 50), (25, 50), (49, 50)]:
         low, high = clopper_pearson(k, m)
         assert low <= k / m <= high
+
+
+def test_deviation_report_inverts_each_distinct_count_once(monkeypatch):
+    # far epsilons count zero exceedances; their rows share one interval
+    calls = []
+    inverse = montecarlo.betaincinv
+
+    def counted(a, b, p):
+        calls.append((a, b, p))
+        return inverse(a, b, p)
+
+    monkeypatch.setattr(montecarlo, "betaincinv", counted)
+    reps = 300
+    report = deviation_probability_experiment(
+        SystemSpec.lds([[0.5]]), "norm", [0.0], n_samples=40, replications=reps,
+        epsilons=[0.05, 0.1, 0.3, 0.6, 1.0, 2.0, 3.0], seed=7,
+        target_mean=math.sqrt(8.0 / (3.0 * math.pi)),
+        target_provenance="half_normal_closed_form",
+    )
+    distinct = set(report.counts)
+    assert report.counts.count(0) >= 3 and len(distinct) < len(report.counts)
+    # an interior count inverts both limits, 0 and reps only one each
+    assert len(calls) == sum(1 if k in (0, reps) else 2 for k in distinct)
+    monkeypatch.undo()
+    for k, low, high in zip(report.counts, report.ci_low, report.ci_high):
+        assert (low, high) == clopper_pearson(k, reps)
 
 
 def test_clopper_pearson_validation():
