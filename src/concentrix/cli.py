@@ -144,11 +144,20 @@ class ExperimentConfig:
         return _integer(key, self.param(key, default, required))
 
 
+def _reject_constant(name: str):
+    # json.loads reads NaN, Infinity and -Infinity, which are no JSON numbers
+    raise ConfigError(f"config holds {name}, which is not a JSON number")
+
+
 def load_config(path, seed_override=None) -> ExperimentConfig:
-    """Read and validate an experiment config document."""
+    """Read and validate an experiment config document.
+
+    NaN, Infinity and -Infinity are refused wherever they appear, before any
+    experiment runs: a report could not encode them.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -166,7 +175,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     elif isinstance(system_field, str):
         system_path = (path.parent / system_field).resolve()
         try:
-            system = system_from_dict(json.loads(system_path.read_text()))
+            system = system_from_dict(
+                json.loads(system_path.read_text(), parse_constant=_reject_constant)
+            )
         except FileNotFoundError:
             raise ConfigError(f"system file not found: {system_path}")
     elif isinstance(system_field, dict):

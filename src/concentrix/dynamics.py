@@ -3,14 +3,12 @@
 Two model families are supported: a linear system ``x' = A x + xi`` and a
 switched linear system ``x' = A_j x + xi`` where ``j`` is the index of the
 first region predicate that matches ``x``.  The noise ``xi`` is always
-N(0, I_n); simulation is bit-reproducible from a seed in [0, 2**64).  A
-trajectory's noise is exactly what ``Generator(PCG64(seed))`` draws, but
-the generator states of a whole batch are computed at once in numpy (the
-128-bit seeding step on pairs of uint64 limbs) and copied, one stream at a
-time, into the ``pcg64_random_t`` of one reused generator: building one
-PCG64 per seed, or going through its ``state`` setter, costs about as much
-as the draws.  The copy target's layout is read and checked against the
-public ``state`` getter first; an unknown layout raises RuntimeError.
+N(0, I_n); simulation is bit-reproducible from a seed in [0, 2**64).  Every
+noise stream is ``np.random.Generator(np.random.PCG64(seed))``, and a batch
+can step several trajectories through one seed's stream, one block of draws
+after another (``per_seed``).  Opening a stream costs about 8 us, as much
+as drawing some 600 normals (numpy 2.4, 2 vCPUs), so callers that need many
+trajectories of one law take them from few streams.
 
 A batch advances one step at a time.  Each region's matrix multiplies the
 whole batch, and a row keeps the product of the first region that matches
@@ -27,19 +25,16 @@ each step's products to the noise already there, so no separate noise
 array is held.  Endpoint runs keep two contiguous state buffers and draw
 their noise in chunks cut by a fixed 2 MiB budget, so the library, not a
 config, fixes the batches; raising the budget from 1 MiB moved no golden
-byte.  An endpoint run can also step several trajectories through one
-seed's stream, one block of draws after another; a stream that a chunk
-boundary cuts continues in the next chunk.
+byte.  A stream that a chunk boundary cuts continues in the next chunk.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -134,16 +129,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(derive_seeds(master_seed, int(index), int(index) + 1)[0])
 
 
-# numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
-# multiplier as two 64-bit limbs; _pcg64_states reproduces PCG64(seed) from them
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = (1 << 32) - 1
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_U64_32, _U64_1, _U64_LOW32 = np.uint64(32), np.uint64(1), np.uint64(_MASK32)
-
-
 def _seed_array(seeds) -> np.ndarray:
     """Seeds as a 1-D uint64 array; each must lie in [0, 2**64)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
@@ -154,138 +139,15 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
-    a0, a1 = a & _U64_LOW32, a >> _U64_32
-    b0, b1 = b & _U64_LOW32, b >> _U64_32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _U64_32) + (cross0 & _U64_LOW32) + (cross1 & _U64_LOW32)
-    return a1 * b1 + (cross0 >> _U64_32) + (cross1 >> _U64_32) + (mid >> _U64_32)
+def _trajectory_streams(seeds: np.ndarray, per_seed: int):
+    """Each trajectory's noise generator, in order, ``per_seed`` per seed.
 
-
-def _pcg64_states(seeds: np.ndarray, high_first: bool = False) -> np.ndarray:
-    """``np.random.PCG64(seed)``'s (state, inc) for each uint64 seed, as limbs.
-
-    A seed below 2**64 enters ``SeedSequence`` as the two 32-bit words
-    ``[lo, hi]``: shorter entropy is padded with ``hashmix(0)``, which is
-    what a zero word gives.  The pool mixing and ``generate_state(4,
-    uint64)`` run here on whole uint32 arrays.  PCG64 then seeds with
-    ``pcg_setseq_128_srandom_r``, whose 128-bit step runs on (high, low)
-    uint64 limbs.
-
-    Returns
-    -------
-    ndarray of uint64, shape (len(seeds), 4)
-        Row i is the state and then the increment of seed i, each as its
-        low and then its high limb, or high and then low when
-        ``high_first``: the two layouts of numpy's ``pcg64_random_t``.
+    Trajectory t draws from ``Generator(PCG64(seeds[t // per_seed]))`` right
+    after the trajectories of its seed before it, so it takes block ``t %
+    per_seed`` of that stream.  A seed given twice opens two generators.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    low = (seeds & _U64_LOW32).astype(np.uint32)
-    high = (seeds >> _U64_32).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    # little-endian pairs of 32-bit words: seed[0], seed[1], inc[0], inc[1];
-    # the 128-bit seed is seed[0] << 64 | seed[1], and inc is (initseq << 1) | 1
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        words[2 * k] | (words[2 * k + 1] << _U64_32) for k in range(4)
-    )
-    inc_hi = (seq_hi << _U64_1) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << _U64_1) | _U64_1
-    # state = (inc + seed) * multiplier + inc  (mod 2**128)
-    sum_lo = inc_lo + seed_lo
-    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
-    state_hi = (
-        _mul_hi64(sum_lo, _PCG_MULT_LO) + sum_lo * _PCG_MULT_HI + sum_hi * _PCG_MULT_LO
-    )
-    state_lo = sum_lo * _PCG_MULT_LO + inc_lo
-    state_hi += inc_hi + (state_lo < inc_lo)
-    if high_first:
-        return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
-    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
-
-
-def _pcg64_struct(bit_generator: np.random.PCG64) -> tuple[np.ndarray, bool]:
-    """A PCG64's ``pcg64_random_t`` as four writable uint64, and its limb order.
-
-    The flag is True when each 128-bit word stores its high limb first.
-    ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
-    whose first member points to the ``pcg64_random_t`` inside the same
-    object.  Its two 128-bit words are ``__uint128_t`` where the compiler
-    has one (low limb first on a little-endian machine) and ``{high, low}``
-    structs where numpy emulates 128-bit arithmetic.  The limbs are only
-    read here, and must equal what the public ``state`` getter reports; any
-    other layout raises RuntimeError.  The view is valid while
-    ``bit_generator`` lives.
-    """
-    start = id(bit_generator)  # the object's address in CPython
-    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
-    # pcg64_random_t is 32 bytes: the 128-bit state, then the 128-bit inc
-    end = start + type(bit_generator).__basicsize__ - 32
-    if address is None or not start <= address <= end:
-        raise RuntimeError("numpy's PCG64 state is not inside its bit generator")
-    struct = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
-    pcg = bit_generator.state["state"]
-    (state_hi, state_lo), (inc_hi, inc_lo) = (
-        divmod(pcg[key], 1 << 64) for key in ("state", "inc")
-    )
-    words = struct.tolist()
-    if words == [state_lo, state_hi, inc_lo, inc_hi]:
-        return struct, False
-    if words == [state_hi, state_lo, inc_hi, inc_lo]:
-        return struct, True
-    raise RuntimeError("numpy's PCG64 state has an unknown memory layout")
-
-
-def _noise_generator() -> tuple[np.random.Generator, np.ndarray, bool]:
-    """A generator to draw streams with, its ``pcg64_random_t`` and limb order."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    return (gen, *_pcg64_struct(gen.bit_generator))
-
-
-def _fill_standard_normals(out, seeds: np.ndarray, generator=None) -> None:
-    """Fill each ``out[i]`` with PCG64(seeds[i])'s first draws, in order.
-
-    ``out`` is an array or an iterable of arrays, and each ``out[i]`` must be
-    C-contiguous.  One generator draws every row.  Before each row, that
-    seed's state is copied into the generator's ``pcg64_random_t``
-    (:func:`_pcg64_struct`), which costs less than the ``state`` setter or a
-    new PCG64.  ``generator``, from :func:`_noise_generator`, is the one used
-    when given; it is left in the last row's stream, where further draws
-    continue that stream.
-    """
-    gen, struct, high_first = generator or _noise_generator()
-    for row, limbs in zip(out, _pcg64_states(seeds, high_first)):
-        struct[...] = limbs
-        gen.standard_normal(out=row)
-
-
-def _standard_normals(seeds: np.ndarray, n_steps: int, dim: int) -> np.ndarray:
-    """(len(seeds), n_steps, dim) noise; row i is PCG64(seeds[i])'s first draws."""
-    noise = np.empty((len(seeds), n_steps, dim))
-    _fill_standard_normals(noise, seeds)
-    return noise
+    for seed in seeds:
+        yield from repeat(np.random.Generator(np.random.PCG64(int(seed))), per_seed)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -636,15 +498,20 @@ def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray) -> np.ndarr
     return cur
 
 
-def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
-    """Simulate one trajectory per seed, all from the same start.
+def simulate_batch(
+    spec: SystemSpec, x0, n_steps: int, seeds, per_seed: int = 1
+) -> np.ndarray:
+    """Simulate ``per_seed`` trajectories per seed, all from the same start.
 
-    Each trajectory's noise is bit-identical to the draws of
-    ``np.random.Generator(np.random.PCG64(seed))`` in any batch.  Its states
-    are too in one dimension; from two dimensions on, a trajectory that is
-    alone in a batch or in its region is multiplied by numpy's lone-row
-    routine, whose last bits can differ from the batch product.  Every seed
-    must lie in [0, 2**64).
+    Trajectory ``t`` takes block ``t % per_seed`` of ``n_steps * dim`` draws
+    of ``np.random.Generator(np.random.PCG64(seeds[t // per_seed]))``: the
+    trajectories of one seed step through its stream in order, and with the
+    default ``per_seed=1`` each trajectory is the start of a stream of its
+    own.  The noise is the same in any batch.  The states are too in one
+    dimension; from two dimensions on, a trajectory that is alone in a batch
+    or in its region is multiplied by numpy's lone-row routine, whose last
+    bits can differ from the batch product.  Every seed must lie in [0,
+    2**64).
 
     Each path's noise is drawn straight into its own rows ``states[i, 1:]``,
     and each step adds the products into them in place: noise plus product
@@ -653,16 +520,19 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (len(seeds), n_steps + 1, dim).
+    ndarray of shape (len(seeds) * per_seed, n_steps + 1, dim).
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    if per_seed < 1:
+        raise ValueError("per_seed must be at least 1")
     x0v = _check_vector(x0, spec.dim, "x0")
     seeds = _seed_array(seeds)
-    states = np.empty((len(seeds), n_steps + 1, spec.dim))
-    _fill_standard_normals(states[:, 1:], seeds)
+    states = np.empty((len(seeds) * per_seed, n_steps + 1, spec.dim))
+    for path, gen in zip(states[:, 1:], _trajectory_streams(seeds, per_seed)):
+        gen.standard_normal(out=path)
     states[:, 0] = x0v
-    prod, scratch = np.empty((2, len(seeds), spec.dim))
+    prod, scratch = np.empty((2, len(states), spec.dim))
     for k in range(n_steps):
         _apply_matrices(spec, states[:, k], out=prod, scratch=scratch)
         states[:, k + 1] += prod
@@ -671,7 +541,9 @@ def simulate_batch(spec: SystemSpec, x0, n_steps: int, seeds) -> np.ndarray:
 
 # noise drawn at once by simulate_endpoints: big enough that the per-step
 # numpy calls are amortised over many trajectories, small enough that peak
-# memory does not grow with the number of trajectories
+# memory does not grow with the number of trajectories.  Trajectory mode
+# sizes its replication blocks by it too, so changing it moves the bytes of
+# trajectory-mode reports.
 _NOISE_BUDGET_BYTES = 2**21
 
 
@@ -685,21 +557,19 @@ def simulate_endpoints(
 ) -> np.ndarray:
     """Final states of ``per_seed`` trajectories per seed, without the paths.
 
-    Trajectory ``t`` takes its noise from seed ``t // per_seed``: the
-    trajectories of one seed step through consecutive blocks of ``n_steps *
-    dim`` draws of ``Generator(PCG64(seed))``, in order.  With the default
-    ``per_seed=1`` every trajectory has a seed of its own, and the states are
-    :func:`simulate_batch`'s final states, bit for bit in one dimension; from
-    two on, a trajectory alone in its chunk or region can differ in its last
-    bits.  Opening a stream costs about as much as 100 draws, so a caller
-    that needs many endpoints of one law takes them from few long streams.
+    The noise layout is :func:`simulate_batch`'s: trajectory ``t`` takes
+    block ``t % per_seed`` of ``n_steps * dim`` draws of
+    ``Generator(PCG64(seeds[t // per_seed]))``.  The states are
+    :func:`simulate_batch`'s final states, bit for bit in one dimension;
+    from two on, a trajectory alone in its chunk or region can differ in its
+    last bits.
 
     Trajectories run in chunks whose noise fits a fixed byte budget, so
-    memory stays bounded however many seeds are given.  A chunk boundary
-    can cut a seed's trajectories in two: the generator keeps that stream's
-    state, and the next chunk continues its draws, so every trajectory's
-    noise is the same under any chunking.  numpy's ``standard_normal`` drawn
-    in pieces equals the same draws taken at once.
+    memory stays bounded however many trajectories are asked for.  A chunk
+    boundary can cut a seed's trajectories in two: the next chunk continues
+    that stream's generator, so every trajectory's noise is the same under
+    any chunking.  numpy's ``standard_normal`` drawn in pieces equals the
+    same draws taken at once.
 
     The contiguous :func:`_run_steps` loop is kept on purpose.  Routing this
     through chunked :func:`simulate_batch` keeps every byte, but ten
@@ -720,27 +590,18 @@ def simulate_endpoints(
     total = len(seeds) * per_seed
     out = np.empty((total, spec.dim))
     chunk = _endpoint_chunk(n_steps, spec.dim)
-    generator = _noise_generator()
+    streams = _trajectory_streams(seeds, per_seed)
     for lo in range(0, total, chunk):
         noise = np.empty((min(chunk, total - lo), n_steps, spec.dim))
-        # first the rest of the stream the previous chunk cut, then whole
-        # streams, then the start of one that the next chunk continues
-        head = min(-lo % per_seed, len(noise))
-        if head:
-            generator[0].standard_normal(out=noise[:head])
-        whole, rest = divmod(len(noise) - head, per_seed)
-        stop = head + whole * per_seed
-        first = -(-lo // per_seed)
-        # each stream fills one flat span: a little faster to draw into than
-        # one (n_steps, dim) block per trajectory
-        spans = noise[head:stop].reshape(whole, per_seed * n_steps * spec.dim)
-        _fill_standard_normals(
-            chain(spans, [noise[stop:].reshape(-1)]),
-            seeds[first : first + whole + (rest > 0)],
-            generator,
-        )
+        # the chunk's trajectories of one stream are consecutive: one draw
+        # fills them all
+        start = 0
+        for gen, run in groupby(islice(streams, len(noise))):
+            stop = start + len(list(run))
+            gen.standard_normal(out=noise[start:stop])
+            start = stop
         out[lo : lo + len(noise)] = _run_steps(spec, x0v, noise)
-        del noise, spans  # free this chunk's noise, views too, before the next
+        del noise  # free this chunk's noise before the next is drawn
     return out
 
 

@@ -1,12 +1,14 @@
 """Monte Carlo verification of concentration certificates.
 
-Every experiment here is deterministic given its master seed: each
-replication gets its own seed from a fixed avalanche derivation, so a
-report's bytes depend only on the config and the seed.  A trajectory-mode
-replication is one path from its seed.  An iid replication steps all its
-endpoints from its one PCG64 stream, each from the next block of draws.
-Target and reference endpoints, and contraction-fit trajectories, each get
-a seed of their own.  Seeds are derived by index, so a run with fewer
+Every experiment here is deterministic given its master seed: its noise
+streams are ``Generator(PCG64(seed))`` for seeds from a fixed avalanche
+derivation, so a report's bytes depend only on the config and the seed.
+Each batch of trajectories shares one stream, one block of draws per
+trajectory.  Trajectory mode opens one stream per block of replications,
+and a replication is one path of its block's stream.  An iid replication
+steps all its endpoints from a stream of its own.  A burn-in sample (the
+iid target, the contraction reference) and the contraction fit's paths
+each take one stream.  Streams are derived by index, so a run with fewer
 replications gets the first averages of a longer run.
 """
 
@@ -257,9 +259,12 @@ def burn_in_sampler(
 ) -> np.ndarray:
     """Final states of ``count`` independent trajectories of length ``burn_in``.
 
-    Returns a float64 ``(count, dim)`` array.  Each trajectory gets its own
-    derived seed.  ``x0`` defaults to the origin.  Only endpoints are kept:
-    work is cut into chunks whose noise fits the fixed budget of
+    Returns a float64 ``(count, dim)`` array.  Every trajectory draws from
+    the one stream ``Generator(PCG64(seed))``, the j-th from its j-th block
+    of ``burn_in * dim`` draws, so a smaller ``count`` gives the first
+    endpoints of a larger one.  ``seed`` must lie in [0, 2**64).  ``x0``
+    defaults to the origin.  Only endpoints are kept: work is cut into
+    chunks whose noise fits the fixed budget of
     :func:`~concentrix.dynamics.simulate_endpoints`.
     """
     if count < 1:
@@ -267,7 +272,7 @@ def burn_in_sampler(
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     start = np.zeros(spec.dim) if x0 is None else x0
-    return simulate_endpoints(spec, start, burn_in, derive_seeds(seed, 0, count))
+    return simulate_endpoints(spec, start, burn_in, [seed], per_seed=count)
 
 
 @dataclass(frozen=True)
@@ -367,6 +372,8 @@ def _trajectory_block(n_samples: int, dim: int) -> int:
 
     A path of ``n_samples`` steps is as large as the noise of ``n_samples +
     1``.  Long paths keep blocks of ``_BLOCK``; the cap bounds peak memory.
+    A block's replications are the paths of one stream, so a change to the
+    block size moves the bytes of trajectory-mode reports.
     """
     fits = _endpoint_chunk(n_samples + 1, dim)
     return min(max(_BLOCK, fits), _TRAJECTORY_BLOCK_MAX)
@@ -387,11 +394,13 @@ def _deviation_report(
 ) -> DeviationReport:
     """Run the replications of a deviation experiment and tabulate its tails.
 
-    ``reward`` is a resolved (fn, lipschitz, tag) triple and ``average`` maps
-    a uint64 array of at most ``block`` replication seeds to one average
-    each.  The experiment resolves its own target and records how in
-    ``details``.  Each epsilon counts deviations beyond ``cert.bias +
-    epsilon``, bounded by the tail bound of ``cert``.
+    ``reward`` is a resolved (fn, lipschitz, tag) triple.  ``average(rep_stream,
+    lo, hi)`` returns the averages of replications ``lo`` to ``hi - 1``, at
+    most ``block`` of them and with ``lo`` a multiple of ``block``; each mode
+    derives its own noise seeds from ``rep_stream = derive_seed(seed, 1)``.
+    The experiment resolves its own target and records how in ``details``.
+    Each epsilon counts deviations beyond ``cert.bias + epsilon``, bounded
+    by the tail bound of ``cert``.
     """
     _, lipschitz, tag = reward
     target_mean = float(target_mean)
@@ -407,7 +416,7 @@ def _deviation_report(
     rep_stream = derive_seed(seed, _STREAM_REPLICATION)
     averages = np.concatenate(
         [
-            average(derive_seeds(rep_stream, lo, min(lo + block, replications)))
+            average(rep_stream, lo, min(lo + block, replications))
             for lo in range(0, replications, block)
         ]
     )
@@ -456,10 +465,13 @@ def deviation_probability_experiment(
     point is excluded), and counts deviations from the target mean beyond
     ``bias + epsilon``.  Bounds come from the per-step transport certificate
     of the linear system, whose stationary law is exactly N(0, S) with
-    ``S = A S A^T + I``.  The bias shift is ``L * W2 / (n_samples * (1 -
-    rate))``, with ``W2`` the closed-form distance from the one-step law
-    N(A x0, I) to N(0, S); it bounds W1, so the shift is a true upper bound
-    on the start-point bias of an ``L``-Lipschitz reward.  An unsupplied
+    ``S = A S A^T + I``.  Replications run in blocks of B =
+    :func:`_trajectory_block` paths, and replication r is path ``r % B`` of
+    the stream of ``derive_seed(derive_seed(seed, 1), r // B)``.  The bias
+    shift is ``L * W2 / (n_samples * (1 - rate))``, with ``W2`` the
+    closed-form distance from the one-step law N(A x0, I) to N(0, S); it
+    bounds W1, so the shift is a true upper bound on the start-point bias
+    of an ``L``-Lipschitz reward.  An unsupplied
     target is the reward's mean under N(0, S) as :func:`stationary_mean_reward`
     finds it: a closed form (the coordinate reward, and the norm reward in one
     or two dimensions), else provenance ``monte_carlo_stationary``, the mean
@@ -503,8 +515,11 @@ def deviation_probability_experiment(
             target_provenance = "monte_carlo_stationary"
             details.update(target_stderr=stderr, target_samples=target_samples)
 
-    def average(seeds):
-        states = simulate_batch(spec, x0v, n_samples, seeds)
+    block = _trajectory_block(n_samples, n)
+
+    def average(rep_stream, lo, hi):
+        seed = derive_seed(rep_stream, lo // block)
+        states = simulate_batch(spec, x0v, n_samples, [seed], per_seed=hi - lo)
         return np.asarray(reward_fn(states[:, 1:, :]), dtype=float).mean(axis=1)
 
     cert = ConcentrationCertificate(
@@ -515,7 +530,7 @@ def deviation_probability_experiment(
         bias=bias,
     )
     return _deviation_report(
-        spec, reward, average, _trajectory_block(n_samples, n), cert, epsilons,
+        spec, reward, average, block, cert, epsilons,
         replications, seed, target_mean, target_provenance, details,
     )
 
@@ -541,9 +556,9 @@ def iid_deviation_experiment(
     stream, ``Generator(PCG64(derive_seed(derive_seed(seed, 1), r)))``, and
     endpoint j steps through its j-th block of ``burn_in * dim`` draws: one
     stream per replication instead of one per endpoint, since opening a
-    stream costs about as much as drawing 100 normals.  An unsupplied target
+    stream costs about as much as drawing 600 normals.  An unsupplied target
     is the Monte Carlo mean of ``target_samples`` endpoints drawn from that
-    same law, each from its own seed (:func:`burn_in_sampler`), and a
+    same law, all from one stream (:func:`burn_in_sampler`), and a
     supplied ``target_mean`` must describe mu_b, not the stationary law.
 
     Bounds use ``te_const`` as the transport-entropy constant of mu_b.  The
@@ -583,13 +598,14 @@ def iid_deviation_experiment(
     # so memory is bounded by the chunk or by one replication's endpoints
     group = max(1, _endpoint_chunk(burn_in, spec.dim) // n_samples)
 
-    def average(rep_seeds):
+    def average(rep_stream, lo, hi):
         endpoints = simulate_endpoints(
-            spec, np.zeros(spec.dim), burn_in, rep_seeds, per_seed=n_samples
+            spec, np.zeros(spec.dim), burn_in, derive_seeds(rep_stream, lo, hi),
+            per_seed=n_samples,
         )
         rewards = np.asarray(reward_fn(endpoints), dtype=float)
         # one contiguous row per replication, averaged as a whole
-        return rewards.reshape(len(rep_seeds), n_samples).mean(axis=1)
+        return rewards.reshape(hi - lo, n_samples).mean(axis=1)
 
     # independent samples are the rate-zero case of the path bound
     cert = ConcentrationCertificate(
@@ -663,13 +679,14 @@ def contraction_rate_fit(
 ) -> ContractionFit:
     """Estimate the Wasserstein contraction rate towards a reference batch.
 
-    Simulates ``per_step`` trajectories from ``x0`` and measures the
-    empirical W1 between their step-n marginals and the first half of the
-    reference batch, for n = 1..n_max.  The second half of the reference
-    estimates the noise floor (the W1 between two independent stationary
-    batches); steps within three floors are dropped, and the contraction
-    rate is ``exp`` of the fitted slope of log-distance against n over the
-    leading usable range.
+    Simulates ``per_step`` trajectories from ``x0``, one block of draws
+    each of the stream ``Generator(PCG64(derive_seed(seed, 1)))``, and
+    measures the empirical W1 between their step-n marginals and the first
+    half of the reference batch, for n = 1..n_max.  The second half of the
+    reference estimates the noise floor (the W1 between two independent
+    stationary batches); steps within three floors are dropped, and the
+    contraction rate is ``exp`` of the fitted slope of log-distance against
+    n over the leading usable range.
 
     The ``n_max + 1`` W1 solves are independent, and the assignment solver
     releases the GIL, so they run on a thread pool of min(CPUs this process
@@ -694,8 +711,8 @@ def contraction_rate_fit(
     ref = _batch_points(reference)
     _check_contraction(n_max, per_step, ref.shape[0])
     ref_a, ref_b = ref[:per_step], ref[per_step : 2 * per_step]
-    seeds = derive_seeds(derive_seed(seed, _STREAM_REPLICATION), 0, per_step)
-    states = simulate_batch(spec, x0, n_max, seeds)
+    stream = derive_seed(seed, _STREAM_REPLICATION)
+    states = simulate_batch(spec, x0, n_max, [stream], per_seed=per_step)
     pairs = [(ref_a, ref_b)] + [(states[:, n, :], ref_a) for n in range(1, n_max + 1)]
 
     workers = min(

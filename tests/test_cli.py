@@ -564,9 +564,49 @@ def test_verify_bad_x0_exits_2(tmp_path, capsys, x0):
     out = tmp_path / "out"
     assert main(["verify", "--config", path, "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "ValueError"
-    assert error["message"].startswith("x0")
+    # NaN is no JSON number, so a NaN start is refused as the config loads
+    if math.isnan(x0[0]):
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("config holds NaN")
+    else:
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("x0")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "key, params",
+    [
+        ("target_mean", {**IID_PARAMS, "target_provenance": "stated"}),
+        ("te_constant", IID_PARAMS),
+        ("epsilons", SMALL_DEVIATION_PARAMS),
+    ],
+)
+def test_non_finite_config_number_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch, key, params, constant
+):
+    # json.loads reads NaN and +-Infinity; an experiment run with one could
+    # only fail when its finished report is encoded, leaving an empty output
+    # directory behind
+    value = [0.3, constant] if key == "epsilons" else constant
+    path = write_config(
+        tmp_path,
+        {"pipeline": "verify-deviation", "system": LDS_HALF, "seed": 42,
+         "params": {**params, key: value}},
+    )
+    text = Path(path).read_text()
+    name = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(constant)]
+    assert name in text
+    monkeypatch.setattr(
+        "concentrix.cli.cmd_verify", lambda config: pytest.fail("the experiment ran")
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"config holds {name}, which is not a JSON number"
+    assert not out.exists()
 
 
 def test_verify_zero_burn_in_exits_2(tmp_path, capsys):

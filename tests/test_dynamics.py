@@ -1,10 +1,8 @@
 """Tests for system definitions, simulation, and seed derivation."""
 
-import ctypes
 import sys
 import threading
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -588,43 +586,15 @@ def test_derive_seeds_match_scalar_derivation(master):
     assert derive_seeds(master, 3, 3).shape == (0,)
 
 
-def _pcg64_carries(seed):
-    """Whether PCG64 seeding carries out of the low limb in its two additions.
-
-    The state is ``(inc + s) * mult + inc`` mod 2**128; the first sum and
-    the final ``+ inc`` each carry when their low 64 bits wrap.
-    """
-    mask = (1 << 64) - 1
-    s_hi, s_lo, seq_hi, seq_lo = (
-        int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    )
-    inc_lo = ((seq_lo << 1) | 1) & mask
-    sum_lo = inc_lo + s_lo
-    product_lo = ((sum_lo & mask) * (dynamics._PCG_MULT_LO.item())) & mask
-    return sum_lo > mask, product_lo + inc_lo > mask
-
-
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
-def test_pcg64_states_match_numpy_seeding():
-    seeds = EDGE_SEEDS + derive_seeds(2024, 0, 10_000).tolist()
-    # every combination of the two low-limb carries is exercised
-    carries = [_pcg64_carries(seed) for seed in seeds]
-    for combination in [(False, False), (False, True), (True, False), (True, True)]:
-        assert carries.count(combination) > 1000
-    seed_array = np.array(seeds, dtype=np.uint64)
-    limbs = dynamics._pcg64_states(seed_array)
-    assert limbs.shape == (len(seeds), 4) and limbs.dtype == np.uint64
-    high_first = dynamics._pcg64_states(seed_array, high_first=True)
-    assert np.array_equal(high_first, limbs[:, [1, 0, 3, 2]])
-    states = [
-        ((state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo)
-        for state_lo, state_hi, inc_lo, inc_hi in limbs.tolist()
-    ]
-    assert len(states) == len(seeds)
-    for seed, (state, inc) in zip(seeds, states):
-        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+def _first_draws(seeds, n_steps, dim):
+    """(len(seeds), n_steps, dim) noise: row i is PCG64(seeds[i])'s first draws."""
+    noise = np.empty((len(seeds), n_steps, dim))
+    for row, seed in zip(noise, seeds):
+        np.random.Generator(np.random.PCG64(int(seed))).standard_normal(out=row)
+    return noise
 
 
 def test_simulate_batch_noise_is_per_seed_pcg64_draws():
@@ -651,25 +621,26 @@ def test_noise_equals_per_seed_generator_draws(per_seed_draws, n_steps, dim):
     seeds, draws = per_seed_draws
     # standard_normal fills its output in order, so a shape takes the first draws
     expected = draws[:, : n_steps * dim].reshape(len(seeds), n_steps, dim)
-    noise = dynamics._standard_normals(seeds, n_steps, dim)
-    assert noise.shape == expected.shape
-    assert (noise == expected).all()
     # with A = 0 and a zero start every state after the first is the noise
     spec = SystemSpec.lds(np.zeros((dim, dim)))
     states = simulate_batch(spec, np.zeros(dim), n_steps, seeds)
+    assert states.shape == (len(seeds), n_steps + 1, dim)
     assert (states[:, 1:] == expected).all()
+    if n_steps:
+        endpoints = simulate_endpoints(spec, np.zeros(dim), n_steps, seeds)
+        assert (endpoints == expected[:, -1]).all()
 
 
 def test_noise_of_no_seeds():
     spec = SystemSpec.lds(np.eye(2))
-    assert dynamics._standard_normals(np.array([], dtype=np.uint64), 5, 2).shape == (0, 5, 2)
     assert simulate_batch(spec, [0.0, 0.0], 5, []).shape == (0, 6, 2)
+    assert simulate_batch(spec, [0.0, 0.0], 5, [], per_seed=3).shape == (0, 6, 2)
     assert simulate_endpoints(spec, [0.0, 0.0], 5, []).shape == (0, 2)
 
 
 def test_concurrent_simulate_endpoints_match_serial():
-    # every call copies states into a generator of its own; threads that
-    # shared one would draw each other's streams
+    # every call opens generators of its own; threads that shared one would
+    # draw each other's streams
     spec = SystemSpec.slds(
         [
             (Predicate(ball_le=1.0), np.eye(2)),
@@ -700,57 +671,12 @@ def test_concurrent_simulate_endpoints_match_serial():
         assert got is not None and (got == expected).all()
 
 
-def test_pcg64_layout_mismatch_raises_before_any_write(monkeypatch):
-    made = []
-
-    class MisreportingPCG64(np.random.PCG64):
-        """Reports an increment that its memory does not hold."""
-
-        def __init__(self, seed=None):
-            super().__init__(seed)
-            made.append(self)
-
-        @property
-        def state(self):
-            state = super().state
-            state["state"]["inc"] += 2
-            return state
-
-    monkeypatch.setattr(np.random, "PCG64", MisreportingPCG64)
-    with pytest.raises(RuntimeError, match="unknown memory layout"):
-        dynamics._standard_normals(np.array([1, 2], dtype=np.uint64), 3, 2)
-    monkeypatch.undo()
-    # the generator's memory still holds PCG64(0): no state was copied in
-    (bit_generator,) = made
-    assert np.array_equal(bit_generator.random_raw(8), np.random.PCG64(0).random_raw(8))
-
-
-def test_pcg64_state_outside_its_bit_generator_raises():
-    elsewhere = (ctypes.c_uint64 * 4)()
-    for target in (ctypes.addressof(elsewhere), None):
-        pointer = ctypes.c_void_p(target)
-
-        class MisplacedPCG64(np.random.PCG64):
-            """Its pcg64_state points at memory outside the object, or nowhere."""
-
-            @property
-            def ctypes(self):
-                return SimpleNamespace(state_address=ctypes.addressof(pointer))
-
-        with pytest.raises(RuntimeError, match="not inside its bit generator"):
-            dynamics._pcg64_struct(MisplacedPCG64(0))
-
-
-def _simulate_batch_reference(spec, x0, n_steps, seeds):
-    """Paths stepped in contiguous copies, with the noise drawn as one array.
-
-    ``seeds`` is a uint64 array.
-    """
-    noise = dynamics._standard_normals(seeds, n_steps, spec.dim)
-    states = np.empty((len(seeds), n_steps + 1, spec.dim))
+def _simulate_batch_reference(spec, x0, noise):
+    """Paths stepped in contiguous copies, driven by (m, n_steps, dim) noise."""
+    states = np.empty((noise.shape[0], noise.shape[1] + 1, spec.dim))
     states[:, 0] = x0
     cur = states[:, 0].copy()
-    for k in range(n_steps):
+    for k in range(noise.shape[1]):
         cur = dynamics._apply_matrices(spec, cur) + noise[:, k]
         states[:, k + 1] = cur
     return states
@@ -776,7 +702,8 @@ def test_paths_stepped_in_place_equal_the_contiguous_reference(dim):
             for m in (1, 2, 7, 300):
                 x0 = rng.normal(scale=2.0, size=dim)
                 seeds = derive_seeds(int(rng.integers(2**63)), 0, m)
-                expected = _simulate_batch_reference(spec, x0, 25, seeds)
+                noise = _first_draws(seeds, 25, dim)
+                expected = _simulate_batch_reference(spec, x0, noise)
                 assert np.array_equal(simulate_batch(spec, x0, 25, seeds), expected)
 
 
@@ -869,7 +796,7 @@ def test_one_trajectory_per_seed_keeps_the_endpoint_bits(spec, x0, per_chunk, mo
     n_steps = 9
     monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", per_chunk * n_steps * spec.dim * 8)
     seeds = derive_seeds(8, 0, 30)
-    noise = dynamics._standard_normals(seeds, n_steps, spec.dim)
+    noise = _first_draws(seeds, n_steps, spec.dim)
     expected = _endpoints_in_chunks(spec, x0, noise)
     assert np.array_equal(simulate_endpoints(spec, x0, n_steps, seeds), expected)
     assert np.array_equal(simulate_endpoints(spec, x0, n_steps, seeds, per_seed=1), expected)
@@ -907,9 +834,33 @@ def test_trajectories_of_one_seed_continue_its_stream_across_chunks(
         assert np.array_equal(last, noise[:, -1])
 
 
+@pytest.mark.parametrize("spec, x0", ENDPOINT_SYSTEMS)
+@pytest.mark.parametrize("per_seed", [1, 3, 10])
+def test_paths_of_one_seed_step_through_its_stream(spec, x0, per_seed):
+    # path t takes block t % per_seed of seed t // per_seed's stream, the
+    # layout of the endpoint runs
+    n_steps, seeds = 9, derive_seeds(10, 0, 7)
+    noise = np.concatenate(
+        [
+            np.random.Generator(np.random.PCG64(seed)).standard_normal(
+                (per_seed, n_steps, spec.dim)
+            )
+            for seed in seeds.tolist()
+        ]
+    )
+    paths = simulate_batch(spec, x0, n_steps, seeds, per_seed=per_seed)
+    assert paths.shape == (len(seeds) * per_seed, n_steps + 1, spec.dim)
+    assert np.array_equal(paths, _simulate_batch_reference(spec, x0, noise))
+    endpoints = simulate_endpoints(spec, x0, n_steps, seeds, per_seed=per_seed)
+    assert np.array_equal(paths[:, -1], endpoints)
+
+
 def test_per_seed_must_be_positive():
-    with pytest.raises(ValueError, match="per_seed"):
-        simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 3, [1], per_seed=0)
+    for simulate_many in (simulate_batch, simulate_endpoints):
+        with pytest.raises(ValueError, match="per_seed"):
+            simulate_many(SystemSpec.lds([[0.5]]), [0.0], 3, [1], per_seed=0)
+        with pytest.raises(ValueError, match="per_seed"):
+            simulate_many(SystemSpec.lds([[0.5]]), [0.0], 3, [1], per_seed=-2)
     assert simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 3, [], per_seed=5).shape == (0, 1)
 
 

@@ -3,11 +3,15 @@
 Every seeded output is meant to be reproducible across releases, and speed
 work on the simulation path must not move a single byte.  These hashes pin
 every pipeline end to end: trajectory mode in one and two dimensions and,
-with a Monte Carlo target, in three, the iid pipeline on two switched systems, the contraction fit, the drift
-check, the certificates of a linear and of a switched system, and an
-``alpha`` sweep.  A change that alters seeded output
-on purpose (for example a different noise generator) updates the hashes
-here and says so in CHANGES.md.
+with a Monte Carlo target, in three, the iid pipeline on two switched
+systems, the contraction fit, the drift check, the certificates of a linear
+and of a switched system, and an ``alpha`` sweep.  A change that alters
+seeded output on purpose updates the hashes here and says so in CHANGES.md.
+The noise layout is such a change: in 0.9.0 each batch of trajectories
+came to share one ``Generator(PCG64(seed))`` stream (a trajectory-mode
+block of replications, the iid target's endpoints, the contraction
+reference and the contraction fit's paths), which re-pinned the three
+trajectory goldens, both iid goldens and ``contraction``.
 """
 
 import hashlib
@@ -61,7 +65,7 @@ CONFIGS = {
             },
         },
         0,
-        "a95cb32d19185721d3a6c4c1d0580ceff4334a28c3cf1f178eb1e5c48effd0e5",
+        "e610c79fd4a0f9c0fc04d5149e482b92f5b8e9fdcb834dfdbe795c0047e7dcf3",
     ),
     # non-normal 2-D system over more than one replication block: from two
     # dimensions on, states depend on the batch a path is stepped in
@@ -81,7 +85,7 @@ CONFIGS = {
             },
         },
         0,
-        "2c4bdd1868ce2d515e07d2d9740317bf38e1f8986490e939d47ebc27827c8ac5",
+        "cb8a4f87f1b5b290caf8f36d3164104664837062896bfcd17b58694f35e7c507",
     ),
     # the norm reward has no closed-form stationary mean from three
     # dimensions up, so this target is the Monte Carlo mean over N(0, S)
@@ -105,7 +109,7 @@ CONFIGS = {
             },
         },
         0,
-        "4840c40d92a6ad4d1d5eb969ae7489ab4847981bd99da14f4fc12b105b066379",
+        "af9f7aa337c6fe6b93530a5a35e9d0bff8c27fb8a86c1ff12d8440dc4806a0d9",
     ),
     "iid-slds": (
         "verify",
@@ -126,7 +130,7 @@ CONFIGS = {
             },
         },
         0,
-        "57da3be408fe6a6965655de32d59e282af6d37b083e7ab46c9c634c7c96c64a3",
+        "52c5118756a721b65d6fb4203d514897abf520dedeb887d5a7cda9dd703dd32e",
     ),
     "iid-slds-3-regions": (
         "verify",
@@ -147,7 +151,7 @@ CONFIGS = {
             },
         },
         0,
-        "9a5b3a96b1c988ea91c6d71ea1e7274467e55866133c8669d0586f08c266123e",
+        "cb9d492609156e2614d81b2eb01dde17cda99a610d5e8600fbb1cf820368c4ac",
     ),
     "contraction": (
         "verify",
@@ -163,7 +167,7 @@ CONFIGS = {
             },
         },
         0,
-        "ae2b2e0b6e585a5a47123e1b5dd87cb2f977e43aec3a58bacde7412487143021",
+        "dd5021867b508a8eb2b169d02e3ea808e39557df45c0e185354df8116f699d38",
     ),
     "verify-lyapunov": (
         "verify",

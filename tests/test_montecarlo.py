@@ -368,16 +368,25 @@ def test_burn_in_deterministic_and_worker_invariant():
 
 
 def test_burn_in_is_one_endpoint_run(monkeypatch):
-    # a budget of 7 trajectories per chunk: 600 seeds are 85 full chunks
-    # and a partial one of 5
+    # a budget of 7 trajectories per chunk: 600 endpoints are 85 full chunks
+    # and a partial one of 5, all from the one stream of seed 3
     monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", 7 * 20 * 2 * 8)
     spec = SystemSpec.slds(
         [(Predicate(ball_le=1.0), np.eye(2)), (Predicate(catch_all=True), 0.5 * np.eye(2))]
     )
-    seeds = derive_seeds(3, 0, 600)
     points = burn_in_sampler(spec, 600, 20, seed=3)
-    assert np.array_equal(points, simulate_endpoints(spec, np.zeros(2), 20, seeds))
-    assert np.array_equal(points, simulate_batch(spec, np.zeros(2), 20, seeds)[:, -1])
+    assert np.array_equal(points, simulate_endpoints(spec, np.zeros(2), 20, [3], per_seed=600))
+    assert np.array_equal(points, simulate_batch(spec, np.zeros(2), 20, [3], per_seed=600)[:, -1])
+
+
+@pytest.mark.parametrize("a", [[[0.7]], [[0.5, 0.3], [0.0, 0.4]]])
+def test_burn_in_smaller_count_is_a_prefix(a):
+    # 5,000 endpoints of 20 steps span several noise chunks; a smaller count
+    # stops inside the first and inside a later one
+    spec = SystemSpec.lds(a)
+    full = burn_in_sampler(spec, 5_000, 20, seed=8)
+    for count in (1, 37, 4_321):
+        assert np.array_equal(burn_in_sampler(spec, count, 20, seed=8), full[:count])
 
 
 def test_burn_in_covariance_converges_monotonically():
@@ -480,15 +489,116 @@ def test_trajectory_blocks_fill_the_simulation_budget(
 ):
     sizes = []
 
-    def counted_batch(spec, x0, n_steps, seeds):
-        sizes.append(len(seeds))
-        return simulate_batch(spec, x0, n_steps, seeds)
+    def counted_batch(spec, x0, n_steps, seeds, per_seed=1):
+        sizes.append(len(seeds) * per_seed)
+        return simulate_batch(spec, x0, n_steps, seeds, per_seed=per_seed)
 
     monkeypatch.setattr(montecarlo, "simulate_batch", counted_batch)
     deviation_probability_experiment(
         SystemSpec.lds(a), "norm", x0, n_samples, [0.5], replications, seed=3
     )
     assert sizes == blocks
+
+
+def _trajectory_averages(monkeypatch, replications, a, x0, n_samples, seed):
+    """(report, replication averages) of a coordinate-reward trajectory run."""
+    return _recorded_averages(
+        monkeypatch, deviation_probability_experiment, SystemSpec.lds(a), "coordinate",
+        x0, n_samples, [0.5], replications, seed, target_mean=0.0,
+        target_provenance="symmetry_closed_form",
+    )
+
+
+def test_trajectory_replication_is_one_path_of_its_blocks_stream(monkeypatch):
+    # 1-D paths of 200 steps make blocks of B = 512; replication r is path
+    # r % B of the stream derive_seed(rep_stream, r // B), and the last
+    # block of 88 paths takes the start of its stream
+    a, x0, n_samples, reps, seed = 0.7, 1.5, 200, 600, 29
+    block = montecarlo._trajectory_block(n_samples, 1)
+    assert block == 512
+    _, averages = _trajectory_averages(monkeypatch, reps, [[a]], [x0], n_samples, seed)
+    rep_stream = derive_seed(seed, montecarlo._STREAM_REPLICATION)
+    expected = np.empty(reps)
+    for lo in range(0, reps, block):
+        size = min(block, reps - lo)
+        gen = np.random.Generator(np.random.PCG64(derive_seed(rep_stream, lo // block)))
+        noise = gen.standard_normal((size, n_samples, 1))
+        paths = np.empty((size, n_samples))
+        x = np.full(size, x0)
+        for k in range(n_samples):
+            x = a * x + noise[:, k, 0]
+            paths[:, k] = x
+        expected[lo : lo + size] = paths.mean(axis=1)
+    assert np.array_equal(averages, expected)
+
+
+@pytest.mark.parametrize(
+    "a, x0, n_samples",
+    [
+        ([[0.5]], [1.0], 200),
+        # 2-D paths of 100 steps also make blocks of 512
+        ([[0.5, 0.3], [0.0, 0.4]], [1.0, -1.0], 100),
+    ],
+)
+def test_trajectory_averages_of_fewer_replications_are_a_prefix(
+    a, x0, n_samples, monkeypatch
+):
+    # 600 replications cut the second block of 512 that a run of 1,100 fills
+    assert montecarlo._trajectory_block(n_samples, len(x0)) == 512
+    _, full = _trajectory_averages(monkeypatch, 1_100, a, x0, n_samples, seed=43)
+    _, prefix = _trajectory_averages(monkeypatch, 600, a, x0, n_samples, seed=43)
+    assert len(full) == 1_100 and len(prefix) == 600
+    assert np.array_equal(prefix, full[:600])
+
+
+def _exact_trajectory_average(a, x0, n_samples):
+    """Mean and variance of the coordinate-0 time average, which is Gaussian.
+
+    x_t = A^t x0 + sum_{s <= t} A^(t-s) xi_s, so the average over t = 1..N has
+    mean (1/N) sum_t e0' A^t x0 and, noise by noise, variance
+    (1/N^2) sum_s ||sum_{k=0}^{N-s} (A^k)' e0||^2.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    # rows[k] = e0' A^k for k = 0..N
+    rows = [np.eye(n)[0]]
+    for _ in range(n_samples):
+        rows.append(rows[-1] @ a)
+    rows = np.array(rows)
+    mean = float(np.sum(rows[1:] @ np.asarray(x0, dtype=float))) / n_samples
+    # partial[j] = sum_{k <= j} e0' A^k; noise s weighs in with partial[N - s]
+    partial = np.cumsum(rows, axis=0)[:n_samples]
+    variance = float(np.sum(partial * partial)) / n_samples**2
+    return mean, variance
+
+
+@pytest.mark.parametrize(
+    "a, x0, seed",
+    [([[0.5]], [1.0], 61), ([[0.5, 0.3], [0.0, 0.4]], [1.0, 1.0], 62)],
+)
+def test_trajectory_frequencies_match_the_exact_gaussian_tail(a, x0, seed):
+    # with the coordinate reward the time average of a linear system is
+    # exactly N(m, v) (_exact_trajectory_average), so a count beyond
+    # bias + eps estimates P(|avg| > bias + eps), two erfc terms.  A wrong
+    # block layout (shared, overlapping or reordered draws), a wrong
+    # averaging window or a start-point error changes that law.
+    n_samples, reps = 10, 4000
+    mean, variance = _exact_trajectory_average(a, x0, n_samples)
+    sd = math.sqrt(variance)
+    multiples = [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5]
+    report = deviation_probability_experiment(
+        SystemSpec.lds(a), "coordinate", x0, n_samples, [m * sd for m in multiples],
+        reps, seed, target_mean=0.0, target_provenance="symmetry_closed_form",
+    )
+    assert report.bias > 0.0
+    # Bonferroni: a 1% family-wise level over the grid
+    level = 1.0 - 0.01 / len(multiples)
+    for eps, count in zip(report.epsilons, report.counts):
+        c = report.bias + eps
+        scale = math.sqrt(2.0 * variance)
+        exact = 0.5 * (math.erfc((c - mean) / scale) + math.erfc((c + mean) / scale))
+        low, high = clopper_pearson(count, reps, level)
+        assert low <= exact <= high, (eps, count, exact)
 
 
 def test_deviation_report_fields_consistent():
@@ -671,21 +781,21 @@ def test_iid_single_sample_consistency():
     assert report.counts == (expected,)
 
 
-def _recorded_iid_averages(monkeypatch, *args, **kwargs):
-    """(report, replication averages) of one iid experiment, in order."""
+def _recorded_averages(monkeypatch, experiment, *args, **kwargs):
+    """(report, replication averages) of one deviation experiment, in order."""
     averages = []
     report_of = montecarlo._deviation_report
 
     def recording(spec, reward, average, *rest):
-        def recorded(seeds):
-            values = average(seeds)
+        def recorded(*replications):
+            values = average(*replications)
             averages.append(values)
             return values
 
         return report_of(spec, reward, recorded, *rest)
 
     monkeypatch.setattr(montecarlo, "_deviation_report", recording)
-    report = iid_deviation_experiment(*args, **kwargs)
+    report = experiment(*args, **kwargs)
     monkeypatch.undo()
     return report, np.concatenate(averages)
 
@@ -694,9 +804,10 @@ def test_iid_replication_steps_through_one_stream(monkeypatch):
     # replication r's endpoints are stepped from consecutive blocks of
     # burn_in draws of Generator(PCG64(derive_seed(rep_stream, r)))
     a, n_samples, burn_in, reps, seed = 0.7, 40, 12, 150, 23
-    report, averages = _recorded_iid_averages(
-        monkeypatch, SystemSpec.lds([[a]]), "coordinate", n_samples=n_samples,
-        replications=reps, burn_in=burn_in, epsilons=[0.1], te_const=4.0, seed=seed,
+    report, averages = _recorded_averages(
+        monkeypatch, iid_deviation_experiment, SystemSpec.lds([[a]]), "coordinate",
+        n_samples=n_samples, replications=reps, burn_in=burn_in, epsilons=[0.1],
+        te_const=4.0, seed=seed,
         target_mean=0.0, target_provenance="symmetry_closed_form",
     )
     rep_stream = derive_seed(seed, montecarlo._STREAM_REPLICATION)
@@ -763,8 +874,12 @@ def test_iid_averages_of_fewer_replications_are_a_prefix(spec, reward, short, mo
         target_mean=0.5, target_provenance="stated",
     )
     assert short == 137 or dynamics._endpoint_chunk(20, spec.dim) // 30 == short
-    _, full = _recorded_iid_averages(monkeypatch, spec, reward, replications=300, **common)
-    _, prefix = _recorded_iid_averages(monkeypatch, spec, reward, replications=short, **common)
+    _, full = _recorded_averages(
+        monkeypatch, iid_deviation_experiment, spec, reward, replications=300, **common
+    )
+    _, prefix = _recorded_averages(
+        monkeypatch, iid_deviation_experiment, spec, reward, replications=short, **common
+    )
     assert len(full) == 300 and len(prefix) == short
     assert np.array_equal(prefix, full[:short])
 
