@@ -1,7 +1,8 @@
 """Measure transport contraction and correlation decay against theory.
 
-Two empirical diagnostics of mixing: the per-step transport distance to a
-stationary reference batch (its log-slope recovers the contraction rate),
+Two empirical diagnostics of mixing: the per-step distance between paths
+from a far start and paths from a stationary reference batch, driven by the
+same noise (its log-slope recovers the contraction rate),
 and the autocovariance of an observable along one long trajectory (it must
 fall inside a geometric envelope implied by the certificate).
 
@@ -26,7 +27,7 @@ reference = burn_in_sampler(spec, 1024, burn_in=100, seed=50)
 fit = contraction_rate_fit(spec, x0=[20.0], n_max=15, per_step=512,
                            reference=reference, seed=51)
 print(f"fitted contraction rate: {fit.rate:.3f} (true matrix norm 0.5)")
-print(f"noise floor of the reference batch: {fit.noise_floor:.4f}")
+print(f"distance between independent stationary points: {fit.stationary_distance:.4f}")
 print("step  distance   used in fit")
 for i, step in enumerate(fit.steps[:10]):
     print(f"{step:4d}  {fit.distances[i]:9.4f}  {fit.used[i]}")

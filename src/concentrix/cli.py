@@ -198,15 +198,14 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         raise ConfigError("params must be an object")
 
     # scipy.optimize and scipy.spatial are imported where they are called; a
-    # run that can reach an LP (a switched system with a halfspace region) or
-    # an assignment solve (a contraction fit from 2-D up) imports them here,
-    # so that start-up and not the experiment's wall time pays for them.
-    # scipy.special first: imported from scipy.optimize it took about 30 ms
-    # longer (scipy 1.17)
-    if system is not None and (
-        system.kind == "slds"
+    # run that can reach an LP (a switched system with a halfspace region)
+    # imports them here, so that start-up and not the experiment's wall time
+    # pays for them.  scipy.special first: imported from scipy.optimize it
+    # took about 30 ms longer (scipy 1.17)
+    if (
+        system is not None
+        and system.kind == "slds"
         and any(pred.halfspaces for pred in system.regions.predicates)
-        or pipeline == "contraction" and system.dim > 1
     ):
         import scipy.special  # noqa: F401
         import scipy.optimize
@@ -489,8 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="accepted for compatibility: must be at least 1, otherwise ignored; "
-            "it does not size the contraction fit's thread pool",
+            help="accepted for compatibility: must be at least 1, otherwise ignored",
         )
         p.add_argument("--out", default=None, help="output directory")
     return parser

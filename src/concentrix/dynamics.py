@@ -409,8 +409,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _check_vector(x, dim: int, name: str = "x") -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+def _check_vector(x, dim: int, name: str = "x", rows: int | None = None) -> np.ndarray:
+    """``x`` as a float vector of length ``dim``; with ``rows``, an (rows, dim)
+    array of one vector per row is returned as it is."""
+    v = np.asarray(x, dtype=float)
+    if rows is not None and v.shape == (rows, dim):
+        return v
+    v = v.reshape(-1)
     if v.shape[0] != dim:
         raise ValueError(f"{name} has dimension {v.shape[0]}, system has {dim}")
     return v
@@ -501,7 +506,11 @@ def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray) -> np.ndarr
 def simulate_batch(
     spec: SystemSpec, x0, n_steps: int, seeds, per_seed: int = 1
 ) -> np.ndarray:
-    """Simulate ``per_seed`` trajectories per seed, all from the same start.
+    """Simulate ``per_seed`` trajectories per seed from ``x0``.
+
+    ``x0`` is one start for every trajectory, or a (len(seeds) * per_seed,
+    dim) array of one start per trajectory.  The start does not change the
+    noise, so two calls on the same seeds are synchronously coupled.
 
     Trajectory ``t`` takes block ``t % per_seed`` of ``n_steps * dim`` draws
     of ``np.random.Generator(np.random.PCG64(seeds[t // per_seed]))``: the
@@ -526,8 +535,8 @@ def simulate_batch(
         raise ValueError("n_steps must be nonnegative")
     if per_seed < 1:
         raise ValueError("per_seed must be at least 1")
-    x0v = _check_vector(x0, spec.dim, "x0")
     seeds = _seed_array(seeds)
+    x0v = _check_vector(x0, spec.dim, "x0", rows=len(seeds) * per_seed)
     states = np.empty((len(seeds) * per_seed, n_steps + 1, spec.dim))
     for path, gen in zip(states[:, 1:], _trajectory_streams(seeds, per_seed)):
         gen.standard_normal(out=path)

@@ -7,17 +7,15 @@ Each batch of trajectories shares one stream, one block of draws per
 trajectory.  Trajectory mode opens one stream per block of replications,
 and a replication is one path of its block's stream.  An iid replication
 steps all its endpoints from a stream of its own.  A burn-in sample (the
-iid target, the contraction reference) and the contraction fit's paths
-each take one stream.  Streams are derived by index, so a run with fewer
-replications gets the first averages of a longer run.
+iid target, the contraction reference) takes one stream.  The contraction
+fit's paths from its start and from its reference points share one
+stream, which couples them synchronously.  Streams are derived by index,
+so a run with fewer replications gets the first averages of a longer run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +69,7 @@ __all__ = [
 
 
 class NoSignalError(RuntimeError):
-    """Every measured distance sits at the sampling noise floor."""
+    """Too few coupled distances lie above the stationary distance to fit a rate."""
 
 
 class PrecisionError(RuntimeError):
@@ -87,9 +85,6 @@ _TRAJECTORY_BLOCK_MAX = 512
 # derived-seed substream labels
 _STREAM_REPLICATION = 1
 _STREAM_TARGET = 4
-
-# bytes of m x m cost matrices the contraction fit holds at once, one per worker
-_COST_BUDGET_BYTES = 64 * 2**20
 
 
 def _code_version() -> str:
@@ -153,75 +148,14 @@ def _batch_points(batch) -> np.ndarray:
     return pts
 
 
-def _reduce_costs(cost, pa, pb, direction) -> float:
-    """Fill ``cost`` with the distances and reduce it in place.
-
-    Subtracts the potentials f(x) = u.x and g(y) = -u.y along the unit
-    vector ``direction`` (when given), then the row minima and the column
-    minima, leaving nonnegative reduced costs with the same optimal
-    assignments.  Returns the dual lower bound sum f + sum g + sum of the
-    minima.
-    """
-    from scipy.spatial.distance import cdist
-
-    cdist(pa, pb, out=cost)
-    bound = 0.0
-    if direction is not None:
-        f, g = pa @ direction, -(pb @ direction)
-        cost -= f[:, None]
-        cost -= g
-        bound = float(f.sum() + g.sum())
-    rows = cost.min(axis=1)
-    cost -= rows[:, None]
-    cols = cost.min(axis=0)
-    cost -= cols
-    return bound + float(rows.sum() + cols.sum())
-
-
-def _warm_started_costs(pa, pb, cost) -> None:
-    """Fill ``cost`` with euclidean costs reduced by one of two dual starts.
-
-    The plain start subtracts the row and then the column minima from
-    one fill of the distances.  The mean-direction start first subtracts
-    the potential u.x, where u is the unit vector between the batch
-    means.  u.x is 1-Lipschitz, so it is a feasible W1 potential, and it
-    is exact for a pure translation: far from the reference nearly every
-    permutation is close to optimal, and without it the solver scans
-    almost every column on each augmentation.  Its own dual value,
-    m ||mean(a) - mean(b)||, needs no matrix, so the distances are
-    refilled and reduced from it only when that value is above the plain
-    start's reduced bound.  ``cost`` then holds reduced costs, not
-    distances.
-    """
-    plain = _reduce_costs(cost, pa, pb, None)
-    shift = pa.mean(axis=0) - pb.mean(axis=0)
-    norm = float(np.linalg.norm(shift))
-    if pa.shape[0] * norm > plain:
-        _reduce_costs(cost, pa, pb, shift / norm)
-
-
-def empirical_w1(a, b, *, out=None) -> WassersteinEstimate:
+def empirical_w1(a, b) -> WassersteinEstimate:
     """Exact empirical euclidean W1 between two equal-size point sets.
 
-    Batches are (m, n) arrays of finite points.
+    Batches are (m, n) arrays of finite points, m at most 1024.
     One-dimensional inputs take the sorted-matching fast path, which
-    provably equals the optimal assignment; everything else solves the
-    full assignment problem (size capped at 1024).
-
-    The assignment starts the solver from dual potentials (see
-    :func:`_warm_started_costs`), which makes the solves far from the
-    reference several times faster.  The value is the mean of the m
-    matched distances, each the root of its squared differences summed
-    from left to right, which are ``cdist``'s bits.  On continuous inputs
-    the warm start picks the same permutation as a solve from zero duals,
-    so the value is the same to the bit.  On tied inputs (lattices,
-    duplicated points) it can pick another optimal permutation, whose
-    mean differs in the last bits only.
-
-    ``out``, when given, is a C-contiguous float64 (m, m) array that the
-    assignment path uses as its cost matrix instead of allocating one, as
-    ``cdist``'s ``out=``.  On return it holds the reduced costs of the
-    solve.  The sorted 1-D path leaves it untouched.
+    provably equals the optimal assignment.  Everything else solves the
+    full assignment problem on the ``cdist`` matrix of distances, and the
+    value is the mean of the matched distances.
     """
     pa, pb = _batch_points(a), _batch_points(b)
     if pa.shape[0] != pb.shape[0]:
@@ -239,15 +173,11 @@ def empirical_w1(a, b, *, out=None) -> WassersteinEstimate:
         value = float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
         return WassersteinEstimate(value, m, "sorted_1d")
     from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
 
-    cost = np.empty((m, m)) if out is None else out
-    if cost.shape != (m, m) or cost.dtype != np.float64 or not cost.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 ({m}, {m}) array")
-    _warm_started_costs(pa, pb, cost)
+    cost = cdist(pa, pb)
     rows, cols = linear_sum_assignment(cost)
-    diff = pa[rows] - pb[cols]
-    value = float(np.sqrt(_row_sums(diff * diff)).mean())
-    return WassersteinEstimate(value, m, "assignment")
+    return WassersteinEstimate(float(cost[rows, cols].mean()), m, "assignment")
 
 
 def burn_in_sampler(
@@ -619,13 +549,13 @@ def iid_deviation_experiment(
 
 @dataclass(frozen=True)
 class ContractionFit:
-    """Log-linear fit of per-step empirical distances to a reference batch."""
+    """Log-linear fit of the per-step distances between synchronously coupled paths."""
 
     rate: float
     steps: tuple
     distances: tuple
-    used: tuple  # bool per step, True where above the noise floor and fitted
-    noise_floor: float
+    used: tuple  # bool per step, True where fitted
+    stationary_distance: float
 
     def to_dict(self) -> dict:
         return {
@@ -634,7 +564,7 @@ class ContractionFit:
             "steps": list(self.steps),
             "distances": list(self.distances),
             "used": list(self.used),
-            "noise_floor": self.noise_floor,
+            "stationary_distance": self.stationary_distance,
         }
 
     def to_csv(self, path) -> None:
@@ -649,24 +579,25 @@ class ContractionFit:
         )
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _check_contraction(n_max: int, per_step: int, reference_count: int) -> None:
-    """Reject contraction-fit sizes before any simulation or solve."""
+    """Reject contraction-fit sizes before any simulation."""
     if n_max < 2:
         raise ValueError("need at least two steps to fit a rate")
     if per_step < 1:
         raise ValueError("per_step must be at least 1")
     if per_step > 1024:
-        raise ValueError("per_step exceeds the 1024 assignment cap")
+        raise ValueError("per_step exceeds the 1024 cap")
     if reference_count < 2 * per_step:
         raise ValueError("reference batch must hold at least 2 * per_step points")
+
+
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean over the first axis of the euclidean distances ``||a - b||``.
+
+    ``a`` and ``b`` are (m, ..., dim) arrays; the result has shape ``a.shape[1:-1]``.
+    """
+    diff = (a - b).reshape(-1, a.shape[-1])
+    return np.sqrt(_row_sums(diff * diff)).reshape(a.shape[:-1]).mean(axis=0)
 
 
 def contraction_rate_fit(
@@ -677,87 +608,70 @@ def contraction_rate_fit(
     reference: np.ndarray,
     seed: int = 0,
 ) -> ContractionFit:
-    """Estimate the Wasserstein contraction rate towards a reference batch.
+    """Estimate the Wasserstein contraction rate by synchronous coupling.
 
-    Simulates ``per_step`` trajectories from ``x0``, one block of draws
-    each of the stream ``Generator(PCG64(derive_seed(seed, 1)))``, and
-    measures the empirical W1 between their step-n marginals and the first
-    half of the reference batch, for n = 1..n_max.  The second half of the
-    reference estimates the noise floor (the W1 between two independent
-    stationary batches); steps within three floors are dropped, and the
-    contraction rate is ``exp`` of the fitted slope of log-distance against
-    n over the leading usable range.
+    ``reference`` holds at least ``2 * per_step`` points, meant to be drawn
+    from the stationary law pi.  Its first ``per_step`` points are the
+    starts Y_0 of ``per_step`` paths Y, and ``per_step`` paths X start at
+    ``x0``.  Path i of X and path i of Y both step with block i of the
+    stream ``Generator(PCG64(derive_seed(seed, 1)))``, so each pair sees
+    the same noise.  For n = 1..n_max the distance d_n is the mean of
+    ||X_n - Y_n|| over the pairs.
 
-    The ``n_max + 1`` W1 solves are independent, and the assignment solver
-    releases the GIL, so they run on a thread pool of min(CPUs this process
-    may use, solves, ``_COST_BUDGET_BYTES`` / (8 per_step^2)) workers.  The
-    calling thread allocates one (per_step, per_step) cost matrix per worker
-    (none for the sorted 1-D path) and the solves take turns with them.
-    Values are collected in step order, so the fit is the same to the bit
-    on any number of CPUs, and a failing solve raises the error of the
-    first failing pair in that order.
+    d_n bounds W1 from above: a stationary Y_0 keeps Y_n stationary, so
+    (X_n, Y_n) is a coupling of law(X_n) and pi, and W1(law X_n, pi) is
+    the least mean distance over all couplings.  d_n is the Monte Carlo
+    mean of that coupling's distance, so d_n >= W1(law X_n, pi) up to its
+    sampling error and the reference's burn-in.  For a linear system X_n -
+    Y_n = A^n (x0 - Y_0), so d_n falls at least as fast as ||A||_2^n, the
+    rate the certificate uses.
 
-    The per-worker buffers and ``empirical_w1(out=)`` are kept on purpose.
-    Allocating a matrix per solve left the wall time flat but raised the
-    peak RSS of the benchmark's ``slds-classical`` workload from 86.9-87.1
-    MB to 91.2 MB (2 vCPUs, BLAS on one thread), likely because freed
-    matrices stay in per-thread malloc arenas.
+    ``stationary_distance`` is the mean of ||ref_a[i] - ref_b[i]|| over
+    the pairs of the first and second ``per_step`` reference points: the
+    distance between two independent stationary points.  The fit uses the
+    leading steps with d_n > ``stationary_distance``, up to the first step
+    that is not, and the rate is ``exp`` of the least-squares slope of
+    log d_n against n over them.  A coupled pair nearer than two
+    independent stationary points moves inside the bulk of pi, where a
+    switched system need not contract (a region with an identity matrix),
+    so those steps no longer measure the approach from ``x0``.
 
     Raises
     ------
     NoSignalError
-        If fewer than two leading steps rise above the noise floor.
+        If fewer than two leading steps lie above the stationary distance.
     """
     ref = _batch_points(reference)
     _check_contraction(n_max, per_step, ref.shape[0])
+    if ref.shape[1] != spec.dim or not np.isfinite(ref).all():
+        raise ValueError(f"reference batch must hold finite points of dimension {spec.dim}")
+    x0v = _check_vector(x0, spec.dim, "x0")
+    if not np.isfinite(x0v).all():
+        raise ValueError("x0 must be finite")
     ref_a, ref_b = ref[:per_step], ref[per_step : 2 * per_step]
-    stream = derive_seed(seed, _STREAM_REPLICATION)
-    states = simulate_batch(spec, x0, n_max, [stream], per_seed=per_step)
-    pairs = [(ref_a, ref_b)] + [(states[:, n, :], ref_a) for n in range(1, n_max + 1)]
+    stream = [derive_seed(seed, _STREAM_REPLICATION)]
+    paths = simulate_batch(spec, x0v, n_max, stream, per_seed=per_step)
+    coupled = simulate_batch(spec, ref_a, n_max, stream, per_seed=per_step)
+    distances = _mean_distance(paths[:, 1:], coupled[:, 1:])
+    if not np.isfinite(distances).all():
+        raise ValueError("a coupled distance overflows a float")
+    stationary_distance = float(_mean_distance(ref_a, ref_b))
 
-    workers = min(
-        _cpu_count(), len(pairs), max(1, _COST_BUDGET_BYTES // (8 * per_step * per_step))
-    )
-    # empirical_w1's sorted 1-D path needs no cost matrix
-    sorted_1d = ref.shape[1] == 1
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(None if sorted_1d else np.empty((per_step, per_step)))
-
-    def solve(pair):
-        # a worker runs one solve at a time, so a buffer is always free
-        cost = buffers.get()
-        try:
-            return empirical_w1(*pair, out=cost).value
-        finally:
-            buffers.put(cost)
-
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(solve, pair) for pair in pairs]
-        values = [future.result() for future in futures]
-    finally:
-        # after a failed solve, drop the solves that have not started
-        pool.shutdown(cancel_futures=True)
-    noise_floor, distances = values[0], np.array(values[1:])
-
-    usable = distances > 3.0 * noise_floor
-    leading = 0
-    while leading < n_max and usable[leading]:
-        leading += 1
+    above = distances > stationary_distance
+    leading = n_max if above.all() else int(np.argmin(above))
     if leading < 2:
         raise NoSignalError(
-            "distances reach the noise floor too quickly to fit a contraction rate"
+            "fewer than two leading coupled distances lie above the stationary "
+            "distance, too few to fit a contraction rate"
         )
     steps = np.arange(1, leading + 1)
     slope = float(np.polyfit(steps, np.log(distances[:leading]), 1)[0])
-    used = tuple(bool(i < leading) for i in range(n_max))
     return ContractionFit(
         rate=float(math.exp(slope)),
         steps=tuple(range(1, n_max + 1)),
         distances=tuple(float(d) for d in distances),
-        used=used,
-        noise_floor=float(noise_floor),
+        used=tuple(bool(i < leading) for i in range(n_max)),
+        stationary_distance=stationary_distance,
     )
 
 

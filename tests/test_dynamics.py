@@ -864,6 +864,40 @@ def test_per_seed_must_be_positive():
     assert simulate_endpoints(SystemSpec.lds([[0.5]]), [0.0], 3, [], per_seed=5).shape == (0, 1)
 
 
+def test_starts_per_trajectory_draw_the_single_start_noise():
+    # one start per path changes no draw: in one dimension each path has the
+    # bits of the single-start batch started at its own point
+    spec = SystemSpec.lds([[0.5]])
+    seeds, per_seed, n_steps = [11, 12], 3, 8
+    starts = np.array([[-4.0], [0.0], [2.5], [7.0], [1e3], [-0.125]])
+    paths = simulate_batch(spec, starts, n_steps, seeds, per_seed=per_seed)
+    for i, start in enumerate(starts):
+        alone = simulate_batch(spec, start, n_steps, seeds, per_seed=per_seed)
+        assert np.array_equal(paths[i], alone[i])
+
+
+def test_starts_per_trajectory_are_synchronously_coupled():
+    # the same noise drives both runs, so for a linear system the paths
+    # differ by A^n (x0 - y_i) up to rounding
+    a = np.array([[0.5, 0.3], [0.0, 0.4]])
+    spec = SystemSpec.lds(a)
+    x0 = np.array([3.0, -2.0])
+    starts = np.random.Generator(np.random.PCG64(8)).normal(size=(10, 2))
+    seeds, n_steps = [21, 22], 6
+    paths = simulate_batch(spec, x0, n_steps, seeds, per_seed=5)
+    coupled = simulate_batch(spec, starts, n_steps, seeds, per_seed=5)
+    for n in range(n_steps + 1):
+        exact = (x0 - starts) @ np.linalg.matrix_power(a, n).T
+        assert np.allclose(paths[:, n] - coupled[:, n], exact, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (7, 2), (6, 3), (2, 6), (6,), (1, 6, 2)])
+def test_starts_of_the_wrong_shape_are_rejected(shape):
+    spec = SystemSpec.lds(0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="x0"):
+        simulate_batch(spec, np.zeros(shape), 4, [1, 2], per_seed=3)
+
+
 def test_long_streams_hold_one_noise_chunk():
     # two seeds' 10,000 trajectories of 200 steps span 8 chunks of 2 MiB
     # noise; a cut stream continues in the next chunk without holding two

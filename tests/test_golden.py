@@ -11,7 +11,10 @@ The noise layout is such a change: in 0.9.0 each batch of trajectories
 came to share one ``Generator(PCG64(seed))`` stream (a trajectory-mode
 block of replications, the iid target's endpoints, the contraction
 reference and the contraction fit's paths), which re-pinned the three
-trajectory goldens, both iid goldens and ``contraction``.
+trajectory goldens, both iid goldens and ``contraction``.  In 0.10.0 the
+contraction fit came to measure synchronously coupled distances instead of
+assignment W1 solves, which moved ``contraction``'s distances, used steps
+and rate, and renamed its ``noise_floor`` to ``stationary_distance``.
 """
 
 import hashlib
@@ -167,7 +170,7 @@ CONFIGS = {
             },
         },
         0,
-        "dd5021867b508a8eb2b169d02e3ea808e39557df45c0e185354df8116f699d38",
+        "eb733407606ce02236666af4a8f980626101772be903790bde11cc11abb7d6d2",
     ),
     "verify-lyapunov": (
         "verify",

@@ -3,9 +3,6 @@
 import itertools
 import json
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -173,104 +170,22 @@ def _continuous_case(rng, kind, m, dim):
 
 @pytest.mark.parametrize("kind", ["mixed", "offset", "anisotropic", "iid", "shuffled"])
 def test_w1_warm_start_equals_plain_solver(kind):
-    # the dual start changes the solver's path, not its permutation, and
-    # the matched distances are cdist's bits, so the value is the plain
-    # solve's to the bit on continuous inputs, with or without a buffer
+    # the value is the plain solve's on cdist's distances, to the bit, on
+    # continuous inputs
     rng = np.random.Generator(np.random.PCG64(22))
     for dim in (2, 3, 5, 8):
         for m in (2, 3, 7, 64, 257, 600):
             a, b = _continuous_case(rng, kind, m, dim)
-            plain = plain_assignment_w1(a, b)
-            for out in (None, np.full((m, m), np.nan)):
-                est = empirical_w1(a, b, out=out)
-                assert est.solver == "assignment"
-                assert est.value == plain
+            est = empirical_w1(a, b)
+            assert est.solver == "assignment"
+            assert est.value == plain_assignment_w1(a, b)
             if kind == "shuffled":
                 assert est.value == 0.0
 
 
-def classical_spec():
-    """The slds-classical system: identity in a box, a contraction outside it."""
-    box = tuple(
-        (normal, 0.7) for normal in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-    )
-    return SystemSpec.slds(
-        [
-            (Predicate(halfspaces=box), np.eye(2)),
-            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
-        ]
-    )
-
-
-def test_w1_contraction_distances_equal_plain_solver(monkeypatch):
-    # the slds-classical system, far from its reference at first: the
-    # regime the mean-direction start is for
-    spec = classical_spec()
-    reference = burn_in_sampler(spec, 256, 100, seed=23)
-    fit = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
-    monkeypatch.setattr(
-        montecarlo, "_warm_started_costs", lambda pa, pb, cost: cdist(pa, pb, out=cost)
-    )
-    plain = contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
-    assert fit.distances == plain.distances
-    assert fit.noise_floor == plain.noise_floor
-    assert fit.rate == plain.rate
-
-
-def test_w1_fills_each_cost_matrix_once_unless_the_mean_direction_wins(monkeypatch):
-    # the plain start costs one fill; only a mean-direction start whose dual
-    # value beats its bound refills, and the value needs no fill after a solve
-    events = []
-    fill, reduce = cdist, montecarlo._reduce_costs
-    solve = linear_sum_assignment
-
-    def counted_fill(*args, **kwargs):
-        events.append("fill")
-        return fill(*args, **kwargs)
-
-    def counted_reduce(cost, pa, pb, direction):
-        if direction is not None:
-            events.append("direction")
-        return reduce(cost, pa, pb, direction)
-
-    def counted_solve(cost):
-        events.append("solve")
-        return solve(cost)
-
-    monkeypatch.setattr("scipy.spatial.distance.cdist", counted_fill)
-    monkeypatch.setattr(montecarlo, "_reduce_costs", counted_reduce)
-    monkeypatch.setattr("scipy.optimize.linear_sum_assignment", counted_solve)
-    plain, direction = ["fill"], ["fill", "direction", "fill"]
-
-    rng = np.random.Generator(np.random.PCG64(30))
-    m = 512
-    near = rng.normal(size=(m, 2)), rng.normal(size=(m, 2))
-    far = rng.normal(size=(m, 2)), rng.normal(size=(m, 2)) + 50.0 * np.array([0.6, 0.8])
-    for (a, b), start in ((near, plain), (far, direction)):
-        events.clear()
-        value = empirical_w1(a, b).value
-        assert events == start + ["solve"]
-        assert value == plain_assignment_w1(a, b)
-
-    # one worker, so the events of each solve are contiguous
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-    spec = classical_spec()
-    reference = burn_in_sampler(spec, 256, 100, seed=23)
-    events.clear()
-    contraction_rate_fit(spec, [20.0, 20.0], 30, 128, reference, seed=24)
-    *solves, tail = " ".join(events).split("solve")
-    starts = [segment.split() for segment in solves]
-    assert len(starts) == 31
-    assert tail == ""
-    assert all(start in (plain, direction) for start in starts)
-    assert events.count("fill") == 31 + events.count("direction")
-    # the near-stationary noise floor takes the plain start, the far steps not
-    assert starts[0] == plain and direction in starts
-
-
 def test_w1_assignment_holds_one_cost_matrix():
-    # the starts reduce the costs in place and the value is read from the
-    # matched pairs, so a call holds one m x m array, never a second copy
+    # the value is read from the matched entries, so a call holds one
+    # m x m array, never a second copy
     rng = np.random.Generator(np.random.PCG64(26))
     m = 1024
     a = rng.normal(size=(m, 2))
@@ -286,45 +201,9 @@ def test_w1_assignment_holds_one_cost_matrix():
     assert matrix_bytes <= peak < 1.5 * matrix_bytes
 
 
-def test_w1_into_caller_buffer_allocates_no_matrix():
-    # with out= the assignment path reuses the caller's matrix and gives the
-    # value of a call that allocates its own
-    rng = np.random.Generator(np.random.PCG64(28))
-    m = 512
-    a = rng.normal(size=(m, 2))
-    b = rng.normal(loc=0.5, size=(m, 2))
-    matrix_bytes = m * m * 8
-    buffer = np.full((m, m), np.nan)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        value = empirical_w1(a, b, out=buffer).value
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * matrix_bytes
-    assert value == empirical_w1(a, b).value
-    # the sorted 1-D path never touches the buffer
-    small = np.full((3, 3), 7.0)
-    assert empirical_w1(column([0, 1, 2]), column([1, 2, 3]), out=small).value == 1.0
-    assert (small == 7.0).all()
-
-
-@pytest.mark.parametrize(
-    "out",
-    [np.empty((4, 5)), np.empty((5, 5), dtype=np.float32), np.empty((5, 10))[:, ::2]],
-)
-def test_w1_rejects_unfit_buffer(out):
-    rng = np.random.Generator(np.random.PCG64(29))
-    a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    with pytest.raises(ValueError, match="out must be"):
-        empirical_w1(a, b, out=out)
-
-
 def test_w1_tied_inputs_stay_optimal():
     # on lattices and duplicated points several permutations are optimal;
-    # the warm start may pick another one, whose mean differs from the
-    # plain solve's in the last bits only
+    # whichever is picked, its mean is the optimal value
     rng = np.random.Generator(np.random.PCG64(27))
     for trial in range(60):
         dim = 2 + trial % 2
@@ -957,7 +836,7 @@ def test_contraction_fit_recovers_scalar_rate():
     fit = contraction_rate_fit(spec, [20.0], 20, 512, reference, seed=15)
     assert 0.4 <= fit.rate <= 0.6
     assert sum(fit.used) >= 2
-    assert fit.noise_floor > 0.0
+    assert fit.stationary_distance > 0.0
 
 
 def test_contraction_fit_white_noise_has_no_signal():
@@ -974,6 +853,37 @@ def test_contraction_fit_slow_mode_dominates():
     assert abs(fit.rate - 0.9) <= 0.1
 
 
+@pytest.mark.parametrize("seed", [15, 16])
+def test_contraction_fit_distances_follow_the_matrix_powers(seed):
+    # for an lds X_n - Y_n = A^n (x0 - y), so the coupled distance of step n
+    # is the mean of ||A^n (x0 - y_i)|| over the reference points y_i
+    a = np.array([[0.5, 0.3], [0.0, 0.4]])
+    x0 = np.array([20.0, -15.0])
+    per_step, n_max = 64, 8
+    reference = burn_in_sampler(SystemSpec.lds(a), 2 * per_step, 100, seed=seed)
+    fit = contraction_rate_fit(SystemSpec.lds(a), x0, n_max, per_step, reference, seed=seed)
+    gaps = x0 - reference[:per_step]
+    for n, distance in zip(fit.steps, fit.distances):
+        exact = np.linalg.norm(gaps @ np.linalg.matrix_power(a, n).T, axis=1).mean()
+        assert distance == pytest.approx(exact, rel=1e-12, abs=0.0)
+    pairs = reference[:per_step] - reference[per_step:]
+    assert fit.stationary_distance == pytest.approx(
+        np.linalg.norm(pairs, axis=1).mean(), rel=1e-12, abs=0.0
+    )
+    # the leading steps above the stationary distance are the fitted ones
+    above = [d > fit.stationary_distance for d in fit.distances]
+    assert list(fit.used) == [all(above[: i + 1]) for i in range(n_max)]
+
+
+def test_contraction_fit_of_a_scalar_system_is_its_factor():
+    # every coupled distance is 0.5^n times the first gap's mean, so the
+    # log-linear fit recovers 0.5 up to rounding
+    spec = SystemSpec.lds([[0.5]])
+    reference = burn_in_sampler(spec, 1024, 100, seed=14)
+    fit = contraction_rate_fit(spec, [20.0], 20, 512, reference, seed=15)
+    assert fit.rate == pytest.approx(0.5, rel=1e-12, abs=0.0)
+
+
 def test_contraction_fit_validation():
     spec = SystemSpec.lds([[0.5]])
     reference = burn_in_sampler(spec, 64, 50, seed=20)
@@ -983,111 +893,13 @@ def test_contraction_fit_validation():
         contraction_rate_fit(spec, [5.0], 5, 64, reference, seed=1)
     with pytest.raises(ValueError, match="cap"):
         contraction_rate_fit(spec, [5.0], 5, 2048, reference, seed=1)
-
-
-def _fit_cases(per_step=128, n_max=12):
-    """A 2-D (assignment) and a 1-D (sorted) contraction fit, as callables."""
-    spec2 = classical_spec()
-    ref2 = burn_in_sampler(spec2, 2 * per_step, 100, seed=30)
-    spec1 = SystemSpec.lds([[0.5]])
-    ref1 = burn_in_sampler(spec1, 2 * per_step, 100, seed=31)
-    return {
-        "2d": lambda: contraction_rate_fit(spec2, [20.0, 20.0], n_max, per_step, ref2, seed=32),
-        "1d": lambda: contraction_rate_fit(spec1, [20.0], n_max, per_step, ref1, seed=33),
-    }
-
-
-@pytest.mark.parametrize("case", ["2d", "1d"])
-def test_contraction_fit_equal_on_any_pool_size(monkeypatch, case):
-    fit = _fit_cases()[case]
-    results = []
-    for cpus in (1, 2, 5):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda cpus=cpus: cpus)
-        results.append(fit())
-    for other in results[1:]:
-        assert other.distances == results[0].distances
-        assert other.noise_floor == results[0].noise_floor
-        assert other.rate == results[0].rate
-        assert other.used == results[0].used
-
-
-def test_contraction_fit_buffers_under_thread_switching(monkeypatch):
-    # more workers than cores, switching threads every microsecond: two
-    # solves sharing one cost matrix would change a distance
-    spec = classical_spec()
-    reference = burn_in_sampler(spec, 64, 100, seed=36)
-
-    def fit():
-        return contraction_rate_fit(spec, [20.0, 20.0], 60, 32, reference, seed=37)
-
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-    serial = fit()
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
-    pooled = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=lambda: pooled.append(fit()), daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert len(pooled) == 1, "the pooled fit raised"
-    assert pooled[0].distances == serial.distances
-    assert pooled[0].noise_floor == serial.noise_floor
-
-
-def test_contraction_fit_raises_first_failing_step(monkeypatch):
-    # steps 2 and 4 fail, step 2 after step 4 has already raised: the
-    # caller still sees step 2's error.  From x0 = 1000 under A = 0.5 the
-    # step-n batch sits near 1000 / 2^n, which names the step.
-    spec = SystemSpec.lds([[0.5]])
-    reference = burn_in_sampler(spec, 64, 50, seed=34)
-    solve = montecarlo.empirical_w1
-
-    def failing(a, b, *args, **kwargs):
-        mean = float(np.mean(a))
-        step = round(math.log2(1000.0 / mean)) if mean > 10.0 else 0
-        if step == 2:
-            time.sleep(0.2)
-        if step in (2, 4):
-            raise ValueError(f"step {step}")
-        return solve(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "empirical_w1", failing)
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
-    with pytest.raises(ValueError, match="step 2"):
-        contraction_rate_fit(spec, [1000.0], 6, 32, reference, seed=35)
-
-
-def _fit_peak(fit) -> int:
-    tracemalloc.start()
-    try:
-        fit()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-@pytest.mark.parametrize("cpus, budget_matrices, workers", [(3, 8, 3), (5, 2, 2)])
-def test_contraction_fit_holds_one_matrix_per_worker(
-    monkeypatch, cpus, budget_matrices, workers
-):
-    # the pool is sized by the CPUs and by the byte budget, whichever is
-    # smaller, and the solves reuse the caller's matrices
-    matrix_bytes = 512 * 512 * 8
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(montecarlo, "_COST_BUDGET_BYTES", budget_matrices * matrix_bytes)
-    peak = _fit_peak(_fit_cases(512, 6)["2d"])
-    assert workers * matrix_bytes <= peak < (workers + 0.5) * matrix_bytes
-
-
-def test_contraction_fit_sorted_path_allocates_no_matrix(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
-    peak = _fit_peak(_fit_cases(512, 6)["1d"])
-    assert peak < 0.5 * 512 * 512 * 8
+    with pytest.raises(ValueError, match="dimension 1"):
+        contraction_rate_fit(spec, [5.0], 5, 16, np.zeros((64, 2)), seed=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            contraction_rate_fit(spec, [5.0], 5, 16, np.full((64, 1), bad), seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            contraction_rate_fit(spec, [bad], 5, 16, reference, seed=1)
 
 
 # ------------------------------------------------------------- autocovariance

@@ -32,7 +32,7 @@ def test_top_level_exports_are_their_home_objects():
     assert [n for n in exported if getattr(concentrix, n) is not homes[n]] == []
 
 
-# imported only by the runs that can reach an LP or an assignment solve
+# imported only by the runs that can reach an LP
 DEFERRED = ("scipy.optimize", "scipy.spatial")
 
 SWITCHED = {
@@ -188,12 +188,20 @@ def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
     )
 
 
+def test_two_dimensional_contraction_run_loads_no_scipy(tmp_path):
+    # the fit measures synchronously coupled distances, with no assignment solve
+    params = {"x0": [20.0, 20.0], "n_max": 10, "per_step": 128, "reference_burn_in": 60}
+    assert_run_loads_no_scipy(
+        tmp_path, {"pipeline": "contraction", "system": PLANE, "seed": 42, "params": params}
+    )
+
+
 @pytest.mark.parametrize(
     "pipeline, system, params, warmed",
     [
         ("verify-lyapunov", SWITCHED, {}, False),
         ("certify", SWITCHED, {}, False),
-        ("contraction", PLANE, {}, True),
+        ("contraction", PLANE, {}, False),
         ("verify-deviation", PLANE, {"mode": "iid"}, False),
         ("contraction", LINE, {}, False),
         ("verify-deviation", LINE, {"mode": "iid"}, False),
@@ -204,7 +212,7 @@ def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
         ("verify-lyapunov", BOXED, {}, True),
         ("certify", BOXED, {}, True),
         ("verify-deviation", BOXED, {"mode": "iid"}, True),
-        ("contraction", SWITCHED, {}, True),
+        ("contraction", SWITCHED, {}, False),
     ],
 )
 def test_load_config_imports_what_the_run_can_reach(tmp_path, pipeline, system, params, warmed):
