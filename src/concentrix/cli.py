@@ -197,20 +197,6 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
 
-    # scipy.optimize and scipy.spatial are imported where they are called; a
-    # run that can reach an LP (a switched system with a halfspace region)
-    # imports them here, so that start-up and not the experiment's wall time
-    # pays for them.  scipy.special first: imported from scipy.optimize it
-    # took about 30 ms longer (scipy 1.17)
-    if (
-        system is not None
-        and system.kind == "slds"
-        and any(pred.halfspaces for pred in system.regions.predicates)
-    ):
-        import scipy.special  # noqa: F401
-        import scipy.optimize
-        import scipy.spatial
-
     out = Path(raw["out"]) if "out" in raw else None
     return ExperimentConfig(
         pipeline=pipeline, system=system, params=params, seed=seed, out=out

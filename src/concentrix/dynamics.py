@@ -33,8 +33,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice, repeat
+from itertools import combinations, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -664,43 +665,95 @@ class HypothesisReport:
         }
 
 
-# HiGHS's default primal feasibility tolerance; pads the linprog caps
-_LP_TOL = 1e-7
+# most halfspace subsets of one region that the containment check solves;
+# C(k, r) grows fast with the k halfspaces, and each subset is an r x r solve
+_VERTEX_SUBSETS = 10_000
+# slack per unit of condition number: an r-subset's solution is off by about
+# cond * 2.2e-16 of its size, so each vertex is kept, and its norm padded,
+# by some 4500 times that
+_VERTEX_TOL = 1e-12
+
+
+def _full_rank_subsets(rows: np.ndarray, size: int):
+    """Every ``size``-subset of ``rows`` of full row rank.
+
+    Returns the (subsets, size) row indices, the last right singular vector
+    and the condition number of each.  The rows are unit vectors, so the
+    singular values bracket 1 and a subset of no rows has condition 1.
+    """
+    idx = np.array(list(combinations(range(len(rows)), size)), dtype=np.intp)
+    idx = idx.reshape(math.comb(len(rows), size), size)
+    _, sv, vt = np.linalg.svd(rows[idx])
+    high = sv.max(axis=1, initial=1.0)
+    low = sv.min(axis=1, initial=1.0)
+    ok = low > high * rows.shape[1] * np.finfo(float).eps
+    return idx[ok], vt[ok, -1], high[ok] / low[ok]
 
 
 def _region_contained_in_ball(pred: Predicate, radius: float, dim: int) -> bool:
     """Whether every point matching ``pred`` lies in the closed ``radius`` ball.
 
-    A ``ball_le`` bound within the radius settles it.  Otherwise each
-    coordinate is maximised and minimised over the halfspaces with
-    ``linprog``: an unbounded program means an unbounded region and
-    infeasible ones an empty region; else the region lies in the box of the
-    per-coordinate caps, padded by the solver tolerance, and is contained
-    when the box's corner is.  Without halfspaces the answer is "no".
-    Dropping a larger ``ball_le``, ``ball_gt`` and the earlier regions only
-    enlarges the region, so the answer can be a false "no" but never a
-    false "yes".
+    A ``ball_le`` bound within the radius settles it; without halfspaces the
+    answer is "no".  Otherwise the halfspaces, scaled to unit normals, are
+    read in the row space of the normals, of rank r: there the region is a
+    polyhedron with a vertex if it is nonempty.  Its vertices are the
+    solutions of the nonsingular r-subsets of the halfspaces, solved in one
+    batch, that satisfy every halfspace within a slack.  No vertex means an
+    empty region, contained.  A nonempty region with r < ``dim`` contains a
+    line, and one is unbounded when some (r-1)-subset's null direction d
+    has normals . d <= slack for d or -d (an extreme ray of its recession
+    cone); both are "no".  Otherwise ``||x||`` is convex, so its maximum is
+    the largest vertex norm, which is padded before it is compared with the
+    radius.  Slack and padding scale with each subset's condition number,
+    so rounding can only reject.  Dropping a larger ``ball_le``,
+    ``ball_gt`` and the earlier regions only enlarges the region, so the
+    answer can be a false "no" but never a false "yes".
+
+    Raises
+    ------
+    ValueError
+        If the region has more than ``_VERTEX_SUBSETS`` r-subsets of
+        halfspaces; nothing is solved then.
     """
     if pred.ball_le is not None and pred.ball_le <= radius:
         return True
-    if not pred.halfspaces:
-        return False
-    from scipy.optimize import linprog
-
     normals = np.array([normal for normal, _ in pred.halfspaces]).reshape(-1, dim)
     offsets = np.array([offset for _, offset in pred.halfspaces])
-    caps = np.zeros(dim)
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            objective = np.zeros(dim)
-            objective[i] = -sign  # linprog minimises, so this maximises sign * x_i
-            res = linprog(objective, A_ub=normals, b_ub=offsets, bounds=(None, None))
-            if res.status == 2:
-                return True  # no point satisfies the halfspaces
-            if res.status != 0:
-                return False  # unbounded, or the solver could not decide
-            caps[i] = max(caps[i], abs(res.fun))
-    return float(np.linalg.norm(caps + _LP_TOL * (1.0 + caps))) <= radius
+    lengths = np.linalg.norm(normals, axis=1)
+    if np.any((lengths == 0.0) & (offsets < 0.0)):
+        return True  # 0 . x <= offset < 0 holds nowhere
+    live = lengths > 0.0
+    if not live.any():
+        return False
+    normals = normals[live] / lengths[live, None]
+    offsets = offsets[live] / lengths[live]
+    _, sv, basis = np.linalg.svd(normals)
+    rank = int((sv > sv[0] * max(normals.shape) * np.finfo(float).eps).sum())
+    count = math.comb(len(normals), rank)
+    if count > _VERTEX_SUBSETS:
+        raise ValueError(
+            f"{len(normals)} halfspaces of rank {rank} have {count} vertex subsets, "
+            f"more than the {_VERTEX_SUBSETS} the containment check solves"
+        )
+    coords = normals @ basis[:rank].T  # unit rows: the normals in their row space
+
+    idx, _, cond = _full_rank_subsets(coords, rank)
+    if len(idx) == 0:
+        return False  # no r-subset is well posed, so no vertex can be trusted
+    points = np.linalg.solve(coords[idx], offsets[idx][..., None])[..., 0]
+    norms = np.linalg.norm(points, axis=1)
+    pad = _VERTEX_TOL * cond * (1.0 + np.abs(offsets).max() + norms)
+    vertex = (points @ coords.T - offsets <= pad[:, None]).all(axis=1)
+    if not vertex.any():
+        return True
+    if rank < dim:
+        return False
+    _, rays, cond = _full_rank_subsets(coords, rank - 1)
+    heights = rays @ coords.T
+    slack = _VERTEX_TOL * cond[:, None]
+    if ((heights <= slack).all(axis=1) | (heights >= -slack).all(axis=1)).any():
+        return False
+    return float((norms + pad)[vertex].max()) <= radius
 
 
 def check_slds_hypothesis(
@@ -711,6 +764,9 @@ def check_slds_hypothesis(
     Every region must either be contractive (matrix norm <= ``contraction``)
     or bounded (contained in the closed ball of ``radius`` with matrix norm
     <= ``lipschitz``).  ``contraction`` must be strictly below 1.
+    Containment is decided from the vertices of a halfspace region, in
+    numpy (:func:`_region_contained_in_ball`); a region with too many
+    halfspaces for that raises ``ValueError`` naming it.
     """
     if spec.kind != "slds":
         raise ValueError("hypothesis check applies to switched systems")
@@ -724,7 +780,13 @@ def check_slds_hypothesis(
         if nrm <= contraction:
             checks.append(RegionCheck(j, nrm, "contractive"))
             continue
-        if not _region_contained_in_ball(spec.regions.predicates[j], radius, spec.dim):
+        try:
+            contained = _region_contained_in_ball(
+                spec.regions.predicates[j], radius, spec.dim
+            )
+        except ValueError as exc:
+            raise ValueError(f"region {j}: {exc}") from None
+        if not contained:
             checks.append(
                 RegionCheck(
                     j, nrm, "violation",

@@ -419,43 +419,67 @@ def _axis_centers(lo: float, hi: float, resolution: int) -> np.ndarray:
 # hundred times the rounding error of a 2-D squared distance (~1e-14
 # scale^2), so a dropped point can never tie the maximum
 _HULL_BAND = 1e-6
+# directions whose extreme mapped points are the corners of the polygon
+# that measures hull depth
+_HULL_DIRECTIONS = 256
+# floats in one temporary (directions, points) or (edges, points) block
+_HULL_BLOCK = 2**18
 
 
 def _hull_band(mus: np.ndarray, box: tuple) -> np.ndarray:
     """The mapped start points that can attain ``max ||y - mu||^2``.
 
-    A point at depth at least ``delta`` inside the convex hull is a convex
-    combination of hull vertices that each lie at least ``delta`` from it,
-    so its squared distance to any ``y`` is at most the vertices' maximum
-    minus ``delta^2``.  Dropping such points leaves every maximum unchanged
-    to the last bit.  Points Qhull cannot triangulate (fewer than three, or
-    all on one line) are measured along the line from the first point to
-    the one farthest from it, and the two end bands are kept as in one
-    dimension.  That needs every point within ``delta^2 / (32 scale)`` of
-    the line, which moves each squared distance by less than ``delta^2 /
-    4``; points farther off the line are all kept.
+    A point at depth at least ``delta`` inside a convex polygon whose
+    corners are mapped points is a convex combination of corners that each
+    lie at least ``delta`` from it, so its squared distance to any ``y`` is
+    at most the corners' maximum minus ``delta^2``.  Dropping such points
+    leaves every maximum unchanged to the last bit.  The polygon joins the
+    extreme points in ``_HULL_DIRECTIONS`` evenly spaced directions, in
+    counter-clockwise order; a point's depth is its least distance inside
+    an edge, negative outside the polygon, and points between it and the
+    hull are kept.  Points on one line (in one dimension, or in two when
+    every point lies within ``delta^2 / (32 scale)`` of the line from the
+    first point to the one farthest from it) are measured along the line,
+    and the two end bands are kept.  That tolerance moves each squared
+    distance by less than ``delta^2 / 4``.
     """
     scale = max(np.abs(mus).max(), np.abs(box).max())
     delta = _HULL_BAND * scale
     if mus.shape[1] == 1:
         return mus[_end_bands(mus[:, 0], delta)]
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(mus)
-    except QhullError:
-        offsets = mus - mus[0]
-        reach = np.linalg.norm(offsets, axis=1)
-        if reach.max() == 0.0:
-            return mus
-        unit = offsets[reach.argmax()] / reach.max()
-        along = offsets @ unit
-        off_line = np.linalg.norm(offsets - along[:, None] * unit, axis=1).max()
-        if off_line > delta * delta / (32.0 * scale):
-            return mus
+    offsets = mus - mus[0]
+    reach = np.linalg.norm(offsets, axis=1)
+    if reach.max() == 0.0:
+        return mus
+    unit = offsets[reach.argmax()] / reach.max()
+    along = offsets @ unit
+    off_line = np.linalg.norm(offsets - along[:, None] * unit, axis=1).max()
+    if off_line <= delta * delta / (32.0 * scale):
         return mus[_end_bands(along, delta)]
-    depth = -(mus @ hull.equations[:, :-1].T + hull.equations[:, -1]).max(axis=1)
-    return mus[depth < delta]
+
+    angles = np.arange(_HULL_DIRECTIONS) * (2.0 * math.pi / _HULL_DIRECTIONS)
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # a (directions, points) product reduced along its rows: argmax over
+    # the points of a (points, directions) array is far slower
+    step = max(1, _HULL_BLOCK // len(mus))
+    extreme = np.concatenate([
+        (directions[j : j + step] @ mus.T).argmax(axis=1)
+        for j in range(0, len(directions), step)
+    ])
+    extreme = extreme[extreme != np.roll(extreme, 1)]  # one index per corner
+    corners = mus[extreme]
+    sides = np.roll(corners, -1, axis=0) - corners
+    # outward edge normals: the corners run counter-clockwise
+    normals = np.stack([sides[:, 1], -sides[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    limits = (normals * corners).sum(axis=1)
+    keep = np.empty(len(mus), dtype=bool)
+    step = max(1, _HULL_BLOCK // len(normals))
+    for start in range(0, len(mus), step):
+        heights = normals @ mus[start : start + step].T
+        heights -= limits[:, None]  # minus each point's depth inside each edge
+        keep[start : start + step] = heights.max(axis=0) > -delta
+    return mus[keep]
 
 
 def _end_bands(coords: np.ndarray, delta: float) -> np.ndarray:
@@ -480,10 +504,11 @@ def minorization_beta(
     mapped grid.  Only the mapped points within a thin band of the hull
     boundary enter the quadrature; every interior point is strictly
     dominated by more than rounding, so the mass is bit-identical to the
-    quadrature over the whole grid.  The cost is one Qhull call on the
-    mapped grid plus one (nodes, band points) array operation per
-    coordinate for each chunk of quadrature nodes, instead of quadrature
-    nodes times the whole grid.
+    quadrature over the whole grid.  The band comes from a polygon of
+    extreme mapped points in numpy (:func:`_hull_band`); the quadrature
+    then costs one (nodes, band points) array operation per coordinate for
+    each chunk of quadrature nodes, instead of quadrature nodes times the
+    whole grid.
 
     Raises
     ------

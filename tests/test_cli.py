@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
+from concentrix import dynamics
 from concentrix.cli import (
     ConfigError,
     ExperimentConfig,
@@ -229,6 +230,40 @@ def test_certify_halfspace_normal_of_wrong_length_exits_2(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert "halfspace normal" in error["message"]
     assert not (out / "certificate.json").exists()
+
+
+def test_region_over_the_vertex_budget_exits_2_before_enumerating(
+    tmp_path, capsys, monkeypatch
+):
+    # 150 tangents of the unit circle: C(150, 2) = 11175 vertex subsets,
+    # more than the containment check solves; it must say so before it
+    # enumerates any subset, and before the drift check simulates
+    def no_enumeration(*args):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(dynamics, "combinations", no_enumeration)
+    angles = np.linspace(0.0, 2.0 * np.pi, 150, endpoint=False)
+    polygon = [
+        {"normal": [math.cos(t), math.sin(t)], "offset": 1.0} for t in angles
+    ]
+    system = {
+        "type": "slds",
+        "regions": [
+            {"predicate": {"halfspaces": polygon}, "A": [[1.0, 0.0], [0.0, 1.0]]},
+            {"predicate": {"catch_all": True}, "A": [[0.5, 0.0], [0.0, 0.5]]},
+        ],
+    }
+    params = {"x_grid": [[0.0, 0.0]], "radius": 2.0, "contraction": 0.6, "lipschitz": 1.0}
+    path = write_config(
+        tmp_path, {"pipeline": "verify-lyapunov", "system": system, "seed": 1, "params": params}
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("region 0: ")
+    assert "11175" in error["message"]
+    assert not (out / "report.json").exists()
 
 
 def test_certify_missing_seed_exits_2(tmp_path, capsys):

@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from concentrix import dynamics
 from concentrix.dynamics import (
@@ -428,7 +431,8 @@ def test_hypothesis_rejects_unbounded_region_outside_the_ball():
 BOX_07 = Predicate(
     halfspaces=tuple((n, 0.7) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
 )
-# x, y >= 0 and x + y <= 1: inside the unit ball, but judged by its box [0, 1]^2
+# x, y >= 0 and x + y <= 1: vertex norms 0, 1 and 1, so it lies in the unit
+# ball although the corner of its bounding box [0, 1]^2 does not
 TRIANGLE = Predicate(halfspaces=(((1.0, 1.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)))
 
 
@@ -438,17 +442,121 @@ TRIANGLE = Predicate(halfspaces=(((1.0, 1.0), 1.0), ((-1.0, 0.0), 0.0), ((0.0, -
         (BOX_07, 1.0, True),  # corner norm 0.98995
         (BOX_07, 0.98, False),
         (TRIANGLE, 1.5, True),
-        (TRIANGLE, 1.4, False),
+        (TRIANGLE, 1.4, True),
         (Predicate(halfspaces=(((1.0, 0.0), -1.0), ((-1.0, 0.0), -1.0))), 0.0, True),  # empty
         (Predicate(halfspaces=(((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5))), 100.0, False),  # slab
         (Predicate(ball_gt=5.0), 100.0, False),
         (Predicate(catch_all=True), 100.0, False),
         (Predicate(ball_le=0.5, halfspaces=(((1.0, 0.0), 0.4),)), 0.5, True),
         (Predicate(ball_le=2.0, halfspaces=(((1.0, 0.0), 0.4),)), 1.0, False),
+        (TRIANGLE, 0.99, False),
+        (TRIANGLE, 1.0, False),  # the padding rejects a vertex on the sphere
+        (Predicate(halfspaces=(((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0))), 100.0, False),  # wedge
+        (Predicate(halfspaces=(((0.0, 0.0), -1.0), ((1.0, 0.0), 5.0))), 0.0, True),  # empty
+        (Predicate(halfspaces=(((0.0, 0.0), 1.0),)), 100.0, False),  # the whole plane
     ],
 )
 def test_region_containment_is_exact_or_rejects(pred, radius, contained):
     assert dynamics._region_contained_in_ball(pred, radius, 2) is contained
+
+
+def axis_halfspaces(dim, offset):
+    """The box |x_i| <= offset as halfspaces."""
+    return tuple(
+        (tuple(sign * e for e in unit), offset) for unit in np.eye(dim) for sign in (1, -1)
+    )
+
+
+CUBE = Predicate(halfspaces=axis_halfspaces(3, 0.5))  # vertex norm sqrt(3) / 2 = 0.866025
+# x, y, z >= 0 and x + y + z <= 1: vertex norms 0 and 1
+SIMPLEX = Predicate(
+    halfspaces=(((1.0, 1.0, 1.0), 1.0),) + tuple(((-e[0], -e[1], -e[2]), 0.0) for e in np.eye(3))
+)
+
+# -1 <= -x + y + z <= 0: HiGHS's presolve calls the program that maximises x
+# over it infeasible, so the linprog caps took this slab for empty
+SLAB_3D = Predicate(halfspaces=(((-1.0, 1.0, 1.0), 0.0), ((1.0, -1.0, -1.0), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "pred, radius, contained",
+    [
+        (CUBE, 0.867, True),
+        (CUBE, 0.866, False),
+        (SIMPLEX, 1.001, True),
+        (SIMPLEX, 0.999, False),
+        (Predicate(halfspaces=CUBE.halfspaces[:4]), 100.0, False),  # a square prism
+        (Predicate(halfspaces=SIMPLEX.halfspaces[1:]), 100.0, False),  # an octant
+        # a slab of rank 1 contains lines
+        (Predicate(halfspaces=(((1.0, 0.0, 0.0), 0.5), ((-1.0, 0.0, 0.0), 0.5))), 100.0, False),
+        (SLAB_3D, 0.0, False),
+    ],
+)
+def test_region_containment_in_three_dimensions(pred, radius, contained):
+    assert dynamics._region_contained_in_ball(pred, radius, 3) is contained
+
+
+def removed_lp_box(normals, offsets):
+    """The verdict of the per-coordinate ``linprog`` caps that containment
+    used before vertex enumeration: "empty", "unbounded", "undecided", or
+    the padded norm of the caps' box corner.
+
+    That check read "infeasible" on any coordinate program as an empty
+    region, but HiGHS's presolve can report an unbounded program as
+    infeasible (``SLAB_3D``), so emptiness is decided here by a program
+    with no objective.
+    """
+    dim = normals.shape[1]
+    if linprog(np.zeros(dim), A_ub=normals, b_ub=offsets, bounds=(None, None)).status == 2:
+        return "empty"
+    caps = np.zeros(dim)
+    for i in range(dim):
+        for sign in (1.0, -1.0):
+            objective = np.zeros(dim)
+            objective[i] = -sign
+            res = linprog(objective, A_ub=normals, b_ub=offsets, bounds=(None, None))
+            if res.status == 3:
+                return "unbounded"
+            if res.status != 0:
+                return "undecided"
+            caps[i] = max(caps[i], abs(res.fun))
+    return float(np.linalg.norm(caps + 1e-7 * (1.0 + caps)))
+
+
+@given(
+    dim=st.sampled_from([2, 3]),
+    data=st.data(),
+    radius=st.floats(0.0, 4.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_region_containment_agrees_with_linear_programs(dim, data, radius):
+    k = data.draw(st.integers(1, 7), label="halfspaces")
+    normals = np.array(
+        data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                           min_size=k, max_size=k), label="normals"),
+        dtype=float,
+    )
+    offsets = np.array(
+        data.draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k), label="offsets")
+    ) / 4.0
+    if data.draw(st.booleans(), label="boxed"):
+        # few random cuts bound a region, so half the regions are cut from a box
+        box = axis_halfspaces(dim, data.draw(st.integers(1, 8), label="box") / 4.0)
+        normals = np.vstack([normals, [normal for normal, _ in box]])
+        offsets = np.concatenate([offsets, [offset for _, offset in box]])
+        k = len(offsets)
+    pred = Predicate(halfspaces=tuple(zip(map(tuple, normals), offsets)))
+    contained = dynamics._region_contained_in_ball(pred, radius, dim)
+    verdict = removed_lp_box(normals, offsets)
+    if verdict == "unbounded":
+        assert not contained
+    if verdict == "empty" or (isinstance(verdict, float) and verdict <= radius):
+        assert contained
+    if contained:
+        rng = np.random.Generator(np.random.PCG64(dim * 1000 + k))
+        pts = rng.uniform(-radius - 1.0, radius + 1.0, size=(4000, dim))
+        inside = pts[pred.matches_batch(pts)]
+        assert (np.linalg.norm(inside, axis=1) <= radius).all()
 
 
 BOX_05 = tuple((n, 0.5) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
@@ -477,6 +585,15 @@ def test_hypothesis_box_region_bounded():
     report = check_slds_hypothesis(spec, radius=1.0, contraction=0.6, lipschitz=1.0)
     assert report.passed
     assert report.regions[0].classification == "bounded"
+
+
+def test_hypothesis_rejects_an_expanding_unbounded_slab_in_three_dimensions():
+    # the linprog caps took SLAB_3D for empty, which passed this system
+    spec = SystemSpec.slds(
+        [(SLAB_3D, 1.5 * np.eye(3)), (Predicate(catch_all=True), 0.5 * np.eye(3))]
+    )
+    report = check_slds_hypothesis(spec, radius=1.0, contraction=0.6, lipschitz=2.0)
+    assert [c.region for c in report.violations] == [0]
 
 
 # ---------------------------------------------------------------- serialization

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -423,9 +422,10 @@ def _brute_force_mass(spec, radius, truncation, resolution):
     return min(total, 1.0)
 
 
-def _box_switched_system():
-    """A unit map on the box |x_i| <= 0.7, a contractive rotation elsewhere."""
-    box = tuple((normal, 0.7) for normal in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+def _box_switched_system(normals=((1, 0), (-1, 0), (0, 1), (0, -1)), offset=0.7):
+    """A unit map on a box (|x_i| <= 0.7 by default), a contractive rotation
+    elsewhere."""
+    box = tuple((normal, offset) for normal in normals)
     return SystemSpec.slds(
         [
             (Predicate(halfspaces=box), np.eye(2)),
@@ -448,10 +448,15 @@ def _box_switched_system():
         (SystemSpec.lds([[0.0, 0.7], [0.0, -0.35]]), 1.0, [[-4.0, 4.0], [-6.0, 5.0]], 40),
         (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 0.0, (-4.0, 4.0), 40),
         (SystemSpec.lds([[0.5, 0.1], [0.0, 0.5]]), 1.0, [[-4.0, 4.0], [-6.0, 5.0]], 40),
+        # about 5 times the collinear tolerance off rank one
+        (SystemSpec.lds([[0.6, 0.3], [0.2, 0.1 + 1e-12]]), 1.0, (-4.0, 4.0), 40),
+        # |x| + |y| <= 0.9: the hull's edges hold rows of grid points, whose
+        # projections on the diagonal directions tie to rounding
+        (_box_switched_system(((1, 1), (1, -1), (-1, 1), (-1, -1)), 0.9), 1.0, (-6.0, 6.0), 40),
     ],
     ids=["lds-1d", "lds-2d", "slds-box", "slds-box-r3", "zero", "rank-one",
          "rank-one-r80", "rank-one-oblique", "rank-one-per-axis", "radius-0",
-         "per-axis-box"],
+         "per-axis-box", "nearly-collinear", "rotated-box"],
 )
 def test_minorization_hull_band_is_bit_identical(spec, radius, truncation, resolution):
     est = minorization_beta(spec, radius, truncation, resolution=resolution)
@@ -471,9 +476,9 @@ def test_minorization_memory_scales_with_the_hull_band():
     assert peak < 16 * 2**20
 
 
-def test_hull_band_of_collinear_points_keeps_the_two_ends(monkeypatch):
-    # a rank-one map sends the disc onto a segment, which Qhull cannot
-    # triangulate; only the points near the segment's ends can be farthest
+def test_hull_band_of_collinear_points_keeps_the_two_ends():
+    # a rank-one map sends the disc onto a segment; only the points near
+    # the segment's ends can be farthest
     axis = np.linspace(-1.0, 1.0, 80)
     xs = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
     xs = xs[np.linalg.norm(xs, axis=1) <= 1.0]
@@ -484,10 +489,10 @@ def test_hull_band_of_collinear_points_keeps_the_two_ends(monkeypatch):
     along = mus @ np.array([3.0, 1.0])
     for end in (along.argmin(), along.argmax()):
         assert (kept == mus[end]).all(axis=1).any()
-    # points off one line are all kept when Qhull raises for another reason
-    def no_hull(points):
-        raise scipy.spatial.QhullError("forced")
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
+    # just off rank one the points spread about 1e-12 off their line, above
+    # the collinear tolerance: the polygon is as thin, so every point is kept
+    thin = _apply_matrices(SystemSpec.lds([[0.6, 0.3], [0.2, 0.1 + 1e-12]]), xs)
+    assert len(lyapunov._hull_band(thin, box)) == len(thin)
+    # a full-rank map keeps a thin band along the hull
     full_rank = _apply_matrices(SystemSpec.lds([[0.5, 0.1], [-0.1, 0.5]]), xs)
-    assert len(lyapunov._hull_band(full_rank, box)) == len(full_rank)
+    assert len(lyapunov._hull_band(full_rank, box)) < 0.05 * len(full_rank)

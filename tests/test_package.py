@@ -32,7 +32,7 @@ def test_top_level_exports_are_their_home_objects():
     assert [n for n in exported if getattr(concentrix, n) is not homes[n]] == []
 
 
-# imported only by the runs that can reach an LP
+# imported only by empirical_w1's n-D path, which no pipeline reaches
 DEFERRED = ("scipy.optimize", "scipy.spatial")
 
 SWITCHED = {
@@ -42,7 +42,7 @@ SWITCHED = {
         {"predicate": {"catch_all": True}, "A": [[0.5, 0.1], [-0.1, 0.5]]},
     ],
 }
-# a box region has no ball bound, so its containment check solves LPs
+# a box region has no ball bound, so its containment check enumerates vertices
 BOXED = {
     "type": "slds",
     "regions": [
@@ -178,7 +178,7 @@ def test_three_dimensional_trajectory_run_does_not_load_scipy_linalg(tmp_path):
 
 
 def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
-    # a ball_le region settles containment without an LP, and the iid
+    # a ball_le region settles containment without vertices, and the iid
     # experiment solves no assignment
     params = {"mode": "iid", "reward": "norm", "n_samples": 10, "replications": 100,
               "burn_in": 10, "epsilons": [0.5, 1.0], "target_samples": 500,
@@ -186,6 +186,50 @@ def test_iid_run_on_ball_regions_does_not_load_optimize_or_spatial(tmp_path):
     assert_run_loads_no_scipy(
         tmp_path, {"pipeline": "verify-deviation", "system": SWITCHED, "seed": 42, "params": params}
     )
+
+
+def test_lyapunov_run_on_a_box_region_loads_no_scipy(tmp_path):
+    # the box's containment is decided by its vertices, in numpy
+    params = {"x_grid": [[0.0, 0.0], [1.0, 0.0], [4.0, -3.0]], "samples_per_point": 1000,
+              "radius": 1.0, "contraction": 0.6, "lipschitz": 1.0}
+    assert_run_loads_no_scipy(
+        tmp_path, {"pipeline": "verify-lyapunov", "system": BOXED, "seed": 42, "params": params}
+    )
+
+
+def test_iid_run_on_a_box_region_loads_no_scipy(tmp_path):
+    params = {"mode": "iid", "reward": "norm", "n_samples": 10, "replications": 100,
+              "burn_in": 10, "epsilons": [0.5, 1.0], "target_samples": 500,
+              "radius": 1.0, "contraction": 0.6, "lipschitz": 1.0, "alpha": 0.25}
+    assert_run_loads_no_scipy(
+        tmp_path, {"pipeline": "verify-deviation", "system": BOXED, "seed": 42, "params": params}
+    )
+
+
+def test_drift_contraction_and_minorization_on_a_box_region_load_no_scipy(tmp_path):
+    # the three classical stages, one after another in one interpreter
+    lyapunov = {"x_grid": [[0.0, 0.0], [4.0, -3.0]], "samples_per_point": 1000,
+                "radius": 1.0, "contraction": 0.6, "lipschitz": 1.0}
+    contraction = {"x0": [20.0, 20.0], "n_max": 10, "per_step": 128, "reference_burn_in": 60}
+    argvs = []
+    for pipeline, params in (("verify-lyapunov", lyapunov), ("contraction", contraction)):
+        path = tmp_path / f"{pipeline}.json"
+        path.write_text(json.dumps(
+            {"pipeline": pipeline, "system": BOXED, "seed": 42, "params": params}
+        ))
+        argvs.append(["verify", "--config", str(path), "--out", str(tmp_path / pipeline)])
+    probe = (
+        "import contextlib, io\n"
+        "from concentrix import cli, lyapunov\n"
+        "from concentrix.dynamics import system_from_dict\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        f"spec = system_from_dict({BOXED!r})\n"
+        "assert lyapunov.minorization_beta(spec, 1.0, (-6.0, 6.0), resolution=40).mass > 0.0\n"
+        + LOADED_SCIPY
+    )
+    assert run_probe(probe) == "[]"
 
 
 def test_two_dimensional_contraction_run_loads_no_scipy(tmp_path):
@@ -209,9 +253,9 @@ def test_two_dimensional_contraction_run_loads_no_scipy(tmp_path):
         ("verify-deviation", PLANE, {}, False),
         ("sweep", None, {}, False),
         ("verify-deviation", SWITCHED, {"mode": "iid"}, False),
-        ("verify-lyapunov", BOXED, {}, True),
-        ("certify", BOXED, {}, True),
-        ("verify-deviation", BOXED, {"mode": "iid"}, True),
+        ("verify-lyapunov", BOXED, {}, False),
+        ("certify", BOXED, {}, False),
+        ("verify-deviation", BOXED, {"mode": "iid"}, False),
         ("contraction", SWITCHED, {}, False),
     ],
 )
@@ -231,10 +275,6 @@ import numpy as np
 import concentrix
 from concentrix import Predicate, SystemSpec
 
-assert not any(n in sys.modules for n in %r)
-rng = np.random.Generator(np.random.PCG64(5))
-w1 = concentrix.empirical_w1(rng.normal(size=(16, 2)), rng.normal(size=(16, 2)))
-assert w1.solver == "assignment" and w1.value > 0.0
 box = tuple((n, 0.7) for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
 spec = SystemSpec.slds([
     (Predicate(halfspaces=box), np.eye(2)),
@@ -244,6 +284,10 @@ report = concentrix.check_slds_hypothesis(spec, 1.0, 0.6, 1.0)
 assert [c.classification for c in report.regions] == ["bounded", "contractive"], report
 beta = concentrix.minorization_beta(spec, 1.0, (-6.0, 6.0), resolution=20)
 assert 0.0 < beta.mass <= 1.0
+assert not any(n in sys.modules for n in %r)
+rng = np.random.Generator(np.random.PCG64(5))
+w1 = concentrix.empirical_w1(rng.normal(size=(16, 2)), rng.normal(size=(16, 2)))
+assert w1.solver == "assignment" and w1.value > 0.0
 print(all(n in sys.modules for n in %r))
 """ % (DEFERRED, DEFERRED)
     assert run_probe(probe) == "True"
