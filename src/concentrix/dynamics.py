@@ -19,13 +19,15 @@ batch and a region's lone row keep numpy's matrix-vector route.  Membership
 sums squares and halfspace products along each row from left to right, so
 ``step``, ``region_index`` and a batch put a point in the same region.
 
-Path runs (:func:`simulate_batch`) draw each trajectory's noise straight
-into its own rows of the path array and step the paths in place, adding
-each step's products to the noise already there, so no separate noise
-array is held.  Endpoint runs keep two contiguous state buffers and draw
-their noise in chunks cut by a fixed 2 MiB budget, so the library, not a
-config, fixes the batches; raising the budget from 1 MiB moved no golden
-byte.  A stream that a chunk boundary cuts continues in the next chunk.
+Every run fills a contiguous (m, n_steps, dim) noise array with one
+``standard_normal`` call per seed's run of trajectories, and steps its
+paths through one loop (:func:`_run_steps`) over two contiguous state
+buffers.  Path runs (:func:`simulate_batch`) fill one array for the whole
+batch and overwrite each step's noise with that step's states, so no
+second array of the paths' size is held.  Endpoint runs fill their noise
+in chunks cut by a fixed 2 MiB budget, so the library, not a config, fixes
+the batches; raising the budget from 1 MiB moved no golden byte.  A stream
+that a chunk boundary cuts continues in the next chunk.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice, repeat
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +142,33 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
 
 
-def _trajectory_streams(seeds: np.ndarray, per_seed: int):
-    """Each trajectory's noise generator, in order, ``per_seed`` per seed.
+def _noise_source(seeds: np.ndarray, per_seed: int):
+    """A fill for the noise of ``per_seed`` trajectories per seed, in order.
 
-    Trajectory t draws from ``Generator(PCG64(seeds[t // per_seed]))`` right
-    after the trajectories of its seed before it, so it takes block ``t %
-    per_seed`` of that stream.  A seed given twice opens two generators.
+    Trajectory t takes block ``t % per_seed`` of the draws of
+    ``Generator(PCG64(seeds[t // per_seed]))``.  Each call ``fill(noise)``
+    fills a contiguous (m, n_steps, dim) array with the next m trajectories'
+    noise, one ``standard_normal`` call per seed's run of them, and returns
+    it.  A stream that the end of one array cuts continues in the next:
+    numpy's draws taken in pieces equal the same draws taken at once.  A
+    seed given twice opens two generators.
     """
-    for seed in seeds:
-        yield from repeat(np.random.Generator(np.random.PCG64(int(seed))), per_seed)
+    streams = iter(seeds.tolist())
+    gen, left = None, 0  # the open stream and its trajectories not yet filled
+
+    def fill(noise: np.ndarray) -> np.ndarray:
+        nonlocal gen, left
+        start = 0
+        while start < len(noise):
+            if not left:
+                gen, left = np.random.Generator(np.random.PCG64(next(streams))), per_seed
+            stop = min(len(noise), start + left)
+            gen.standard_normal(out=noise[start:stop])
+            left -= stop - start
+            start = stop
+        return noise
+
+    return fill
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -173,16 +193,30 @@ def spectral_norm(a) -> float:
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Sum each row of an (m, n) array from left to right.
+    """Sum an (..., n) array along its last axis from left to right.
 
     The rounding is the same for every row count and position, unlike a
-    BLAS product or a pairwise reduction.  Up to n = 7 the squares' sums
-    equal ``np.linalg.norm(pts, axis=1) ** 2`` before the root, bit for bit.
+    BLAS product or a pairwise reduction.
     """
-    total = terms[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        total += terms[:, j]
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
     return total
+
+
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of an (..., n) array.
+
+    The root of the squares' :func:`_row_sums`.  Up to n = 7 it equals
+    ``np.linalg.norm(pts, axis=-1)`` bit for bit; from n = 8 on numpy sums
+    pairwise and can round differently.  In one dimension the result is a
+    view of the squares, rooted in place, so nothing is copied.
+    """
+    squares = pts * pts
+    if squares.shape[-1] == 1:
+        return np.sqrt(squares, out=squares)[..., 0]
+    total = _row_sums(squares)
+    return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
@@ -233,7 +267,7 @@ class Predicate:
             return np.ones(pts.shape[0], dtype=bool)
         tests = []
         if self.ball_le is not None or self.ball_gt is not None:
-            nrm = np.sqrt(_row_sums(pts * pts))
+            nrm = _row_norms(pts)
             if self.ball_le is not None:
                 tests.append(nrm <= self.ball_le)
             if self.ball_gt is not None:
@@ -490,16 +524,24 @@ def _apply_matrices(
     return out
 
 
-def _run_steps(spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _run_steps(
+    spec: SystemSpec, x0v: np.ndarray, noise: np.ndarray, keep: bool = False
+) -> np.ndarray:
     """Final states of the paths from ``x0v`` driven by (m, n_steps, dim) noise.
 
-    Two contiguous state buffers and one product scratch serve every step.
+    ``x0v`` is one start or an (m, dim) array of one start per path.  Two
+    contiguous state buffers and one product scratch serve every step.  With
+    ``keep``, each step's states overwrite that step's noise, so ``noise``
+    ends as the paths' states after each step.
     """
-    cur = np.tile(x0v, (noise.shape[0], 1))
+    cur = np.empty((noise.shape[0], noise.shape[2]))
+    cur[...] = x0v
     nxt, scratch = np.empty_like(cur), np.empty_like(cur)
     for k in range(noise.shape[1]):
         _apply_matrices(spec, cur, out=nxt, scratch=scratch)
         nxt += noise[:, k]
+        if keep:
+            noise[:, k] = nxt
         cur, nxt = nxt, cur
     return cur
 
@@ -517,20 +559,21 @@ def simulate_batch(
     of ``np.random.Generator(np.random.PCG64(seeds[t // per_seed]))``: the
     trajectories of one seed step through its stream in order, and with the
     default ``per_seed=1`` each trajectory is the start of a stream of its
-    own.  The noise is the same in any batch.  The states are too in one
-    dimension; from two dimensions on, a trajectory that is alone in a batch
-    or in its region is multiplied by numpy's lone-row routine, whose last
-    bits can differ from the batch product.  Every seed must lie in [0,
-    2**64).
+    own.  A seed given twice opens two generators, so it gives two equal
+    blocks of paths.  The noise is the same in any batch.  The states are
+    too in one dimension; from two dimensions on, a trajectory that is alone
+    in a batch or in its region is multiplied by numpy's lone-row routine,
+    whose last bits can differ from the batch product.  Every seed must lie
+    in [0, 2**64).
 
-    Each path's noise is drawn straight into its own rows ``states[i, 1:]``,
-    and each step adds the products into them in place: noise plus product
-    has the bits of product plus noise, and no separate noise array is held.
-    :func:`simulate_endpoints` keeps its 2 MiB noise chunks.
+    The noise of the whole batch is drawn into the returned array, and each
+    step overwrites its noise with its states (:func:`_run_steps` with
+    ``keep``), so no second array of the paths' size is held.
 
     Returns
     -------
-    ndarray of shape (len(seeds) * per_seed, n_steps + 1, dim).
+    ndarray of shape (len(seeds) * per_seed, n_steps, dim)
+        The states after each step; the start ``x0`` is not included.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -538,14 +581,9 @@ def simulate_batch(
         raise ValueError("per_seed must be at least 1")
     seeds = _seed_array(seeds)
     x0v = _check_vector(x0, spec.dim, "x0", rows=len(seeds) * per_seed)
-    states = np.empty((len(seeds) * per_seed, n_steps + 1, spec.dim))
-    for path, gen in zip(states[:, 1:], _trajectory_streams(seeds, per_seed)):
-        gen.standard_normal(out=path)
-    states[:, 0] = x0v
-    prod, scratch = np.empty((2, len(states), spec.dim))
-    for k in range(n_steps):
-        _apply_matrices(spec, states[:, k], out=prod, scratch=scratch)
-        states[:, k + 1] += prod
+    fill = _noise_source(seeds, per_seed)
+    states = fill(np.empty((len(seeds) * per_seed, n_steps, spec.dim)))
+    _run_steps(spec, x0v, states, keep=True)
     return states
 
 
@@ -570,22 +608,20 @@ def simulate_endpoints(
     The noise layout is :func:`simulate_batch`'s: trajectory ``t`` takes
     block ``t % per_seed`` of ``n_steps * dim`` draws of
     ``Generator(PCG64(seeds[t // per_seed]))``.  The states are
-    :func:`simulate_batch`'s final states, bit for bit in one dimension;
-    from two on, a trajectory alone in its chunk or region can differ in its
-    last bits.
+    :func:`simulate_batch`'s final states (``x0`` after zero steps), bit for
+    bit in one dimension; from two on, a trajectory alone in its chunk or
+    region can differ in its last bits.
 
     Trajectories run in chunks whose noise fits a fixed byte budget, so
     memory stays bounded however many trajectories are asked for.  A chunk
     boundary can cut a seed's trajectories in two: the next chunk continues
     that stream's generator, so every trajectory's noise is the same under
-    any chunking.  numpy's ``standard_normal`` drawn in pieces equals the
-    same draws taken at once.
+    any chunking.
 
-    The contiguous :func:`_run_steps` loop is kept on purpose.  Routing this
-    through chunked :func:`simulate_batch` keeps every byte, but ten
-    2,500-trajectory, 50-step runs on a 2-D switched system took 117-136 ms
-    instead of 96-103 ms (2 vCPUs, BLAS on one thread); stepping a contiguous
-    copy inside :func:`simulate_batch` was still about 10% slower.
+    Only the endpoints are kept, so the steps do not overwrite the noise
+    with the states: that strided write per step took the stepping of a
+    2 MiB chunk (2,621 paths of 50 steps on a 2-D switched system) from
+    2.9 to 3.7 ms (2 vCPUs, BLAS on one thread).
 
     Returns
     -------
@@ -600,16 +636,9 @@ def simulate_endpoints(
     total = len(seeds) * per_seed
     out = np.empty((total, spec.dim))
     chunk = _endpoint_chunk(n_steps, spec.dim)
-    streams = _trajectory_streams(seeds, per_seed)
+    fill = _noise_source(seeds, per_seed)
     for lo in range(0, total, chunk):
-        noise = np.empty((min(chunk, total - lo), n_steps, spec.dim))
-        # the chunk's trajectories of one stream are consecutive: one draw
-        # fills them all
-        start = 0
-        for gen, run in groupby(islice(streams, len(noise))):
-            stop = start + len(list(run))
-            gen.standard_normal(out=noise[start:stop])
-            start = stop
+        noise = fill(np.empty((min(chunk, total - lo), n_steps, spec.dim)))
         out[lo : lo + len(noise)] = _run_steps(spec, x0v, noise)
         del noise  # free this chunk's noise before the next is drawn
     return out
@@ -619,9 +648,11 @@ def simulate(spec: SystemSpec, x0, n_steps: int, seed: int) -> Trajectory:
     """Run ``n_steps`` transitions from ``x0`` with i.i.d. N(0, I) noise.
 
     Pure function of its arguments: the same (spec, x0, n_steps, seed)
-    always produces the same state list.
+    always produces the same state list.  ``states`` is ``x0`` followed by
+    ``simulate_batch(spec, x0, n_steps, [seed])[0]``.
     """
-    states = simulate_batch(spec, x0, n_steps, [seed])[0]
+    x0v = _check_vector(x0, spec.dim, "x0")
+    states = np.vstack((x0v, simulate_batch(spec, x0v, n_steps, [seed])[0]))
     return Trajectory(states=states, seed=int(seed))
 
 

@@ -21,6 +21,7 @@ from .dynamics import (
     HypothesisError,
     SystemSpec,
     _apply_matrices,
+    _row_norms,
     _write_csv,
     check_slds_hypothesis,
     derive_seed,
@@ -366,7 +367,7 @@ def empirical_drift_check(
         gen = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
         mean = spec.matrix_for(x) @ x
         draws = mean + gen.standard_normal((samples_per_point, spec.dim))
-        norms = np.linalg.norm(draws, axis=1)
+        norms = _row_norms(draws)
         points.append(
             DriftPoint(
                 x=tuple(float(v) for v in x),

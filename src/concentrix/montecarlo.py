@@ -27,7 +27,7 @@ from .dynamics import (
     Trajectory,
     _check_vector,
     _endpoint_chunk,
-    _row_sums,
+    _row_norms,
     _write_csv,
     derive_seed,
     derive_seeds,
@@ -77,7 +77,7 @@ class PrecisionError(RuntimeError):
 
 
 # replications per trajectory-mode average() call: from _BLOCK up while
-# their (m, T+1, n) paths fit the 2 MiB simulation budget, to a cap that
+# m paths of T + 1 states fit the 2 MiB simulation budget, to a cap that
 # bounds peak memory
 _BLOCK = 256
 _TRAJECTORY_BLOCK_MAX = 512
@@ -94,7 +94,7 @@ def _code_version() -> str:
 def _resolve_reward(reward):
     """Map a reward tag to (vectorized fn over (..., n) arrays, lipschitz, tag)."""
     if reward == "norm":
-        return (lambda pts: np.linalg.norm(pts, axis=-1)), 1.0, "norm"
+        return _row_norms, 1.0, "norm"
     if reward == "coordinate":
         return (lambda pts: pts[..., 0]), 1.0, "coordinate"
     if isinstance(reward, tuple) and len(reward) == 2 and callable(reward[0]):
@@ -300,10 +300,11 @@ def _check_monte_carlo_target(target_samples: int) -> None:
 def _trajectory_block(n_samples: int, dim: int) -> int:
     """Replications per trajectory-mode block: as many paths as fit the budget.
 
-    A path of ``n_samples`` steps is as large as the noise of ``n_samples +
-    1``.  Long paths keep blocks of ``_BLOCK``; the cap bounds peak memory.
-    A block's replications are the paths of one stream, so a change to the
-    block size moves the bytes of trajectory-mode reports.
+    The budget is counted for paths of ``n_samples + 1`` states, as when
+    paths held their start, and is kept so: a block's replications are the
+    paths of one stream, so a change to the block size moves the bytes of
+    trajectory-mode reports.  Long paths keep blocks of ``_BLOCK``; the cap
+    bounds peak memory.
     """
     fits = _endpoint_chunk(n_samples + 1, dim)
     return min(max(_BLOCK, fits), _TRAJECTORY_BLOCK_MAX)
@@ -450,7 +451,7 @@ def deviation_probability_experiment(
     def average(rep_stream, lo, hi):
         seed = derive_seed(rep_stream, lo // block)
         states = simulate_batch(spec, x0v, n_samples, [seed], per_seed=hi - lo)
-        return np.asarray(reward_fn(states[:, 1:, :]), dtype=float).mean(axis=1)
+        return np.asarray(reward_fn(states), dtype=float).mean(axis=1)
 
     cert = ConcentrationCertificate(
         constant=t1.constant,
@@ -596,8 +597,7 @@ def _mean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` and ``b`` are (m, ..., dim) arrays; the result has shape ``a.shape[1:-1]``.
     """
-    diff = (a - b).reshape(-1, a.shape[-1])
-    return np.sqrt(_row_sums(diff * diff)).reshape(a.shape[:-1]).mean(axis=0)
+    return _row_norms(a - b).mean(axis=0)
 
 
 def contraction_rate_fit(
@@ -652,7 +652,7 @@ def contraction_rate_fit(
     stream = [derive_seed(seed, _STREAM_REPLICATION)]
     paths = simulate_batch(spec, x0v, n_max, stream, per_seed=per_step)
     coupled = simulate_batch(spec, ref_a, n_max, stream, per_seed=per_step)
-    distances = _mean_distance(paths[:, 1:], coupled[:, 1:])
+    distances = _mean_distance(paths, coupled)
     if not np.isfinite(distances).all():
         raise ValueError("a coupled distance overflows a float")
     stationary_distance = float(_mean_distance(ref_a, ref_b))

@@ -99,8 +99,25 @@ def test_simulate_batch_rows_match_individual_runs():
     spec = ball_then_catchall([[1.0]], [[0.5]])
     seeds = [5, 6, 7]
     batch = simulate_batch(spec, [0.0], 50, seeds)
+    assert batch.shape == (3, 50, 1)
     for i, s in enumerate(seeds):
-        assert np.array_equal(batch[i], simulate(spec, [0.0], 50, s).states)
+        assert np.array_equal(batch[i], simulate(spec, [0.0], 50, s).states[1:])
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 17])
+def test_simulate_is_the_start_then_the_batch_of_its_seed(n_steps):
+    spec = SystemSpec.slds(
+        [
+            (Predicate(ball_le=1.0), np.eye(2)),
+            (Predicate(catch_all=True), [[0.5, 0.1], [-0.1, 0.5]]),
+        ]
+    )
+    x0 = np.array([2.0, -0.5])
+    traj = simulate(spec, x0, n_steps, seed=19)
+    batch = simulate_batch(spec, x0, n_steps, [19])
+    assert traj.states.shape == (n_steps + 1, 2)
+    assert np.array_equal(traj.states[0], x0)
+    assert np.array_equal(traj.states[1:], batch[0])
 
 
 def test_pure_noise_covariance_close_to_identity():
@@ -110,6 +127,39 @@ def test_pure_noise_covariance_close_to_identity():
     samples = traj.states[1:]
     cov = samples.T @ samples / m
     assert np.all(np.abs(cov - np.eye(2)) < 5.0 * np.sqrt(2.0 / m))
+
+
+# ---------------------------------------------------------------- row norms
+
+
+def _norm_arrays(dim):
+    """(m, n), (paths, steps, n) and non-contiguous (..., n) arrays of points."""
+    rng = np.random.default_rng(40 + dim)
+    grid = rng.normal(size=(300, 7, dim)) * 10.0 ** rng.integers(-20, 20, size=(300, 7, 1))
+    grid[0, 0] = 0.0
+    return {
+        "rows": np.ascontiguousarray(grid[:, 0]),
+        "paths": grid,
+        "strided rows": grid[::3, 2],
+        "strided steps": grid[:, ::2],
+        "column-major": np.asfortranarray(grid[:, 1]),
+        "reversed coordinates": grid[:, 3, ::-1],
+    }
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_row_norms_equal_linalg_norm_bit_for_bit(dim):
+    for name, pts in _norm_arrays(dim).items():
+        got = dynamics._row_norms(pts)
+        want = np.linalg.norm(pts, axis=-1)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_row_norms_leave_their_input_alone():
+    pts = np.array([[-3.0], [4.0]])
+    assert dynamics._row_norms(pts).tolist() == [3.0, 4.0]
+    assert pts.tolist() == [[-3.0], [4.0]]
 
 
 # ---------------------------------------------------------------- regions
@@ -715,13 +765,13 @@ def _first_draws(seeds, n_steps, dim):
 
 
 def test_simulate_batch_noise_is_per_seed_pcg64_draws():
-    # with A = 0 and a zero start every state after the first is the noise
+    # with A = 0 and a zero start every state is the noise
     spec = SystemSpec.lds(np.zeros((2, 2)))
     seeds = [0, 2**32, 2**64 - 1, 77]
     batch = simulate_batch(spec, [0.0, 0.0], 30, seeds)
     for row, seed in zip(batch, seeds):
         draws = np.random.Generator(np.random.PCG64(seed)).standard_normal((30, 2))
-        assert np.array_equal(row[1:], draws)
+        assert np.array_equal(row, draws)
 
 
 @pytest.fixture(scope="module")
@@ -738,11 +788,11 @@ def test_noise_equals_per_seed_generator_draws(per_seed_draws, n_steps, dim):
     seeds, draws = per_seed_draws
     # standard_normal fills its output in order, so a shape takes the first draws
     expected = draws[:, : n_steps * dim].reshape(len(seeds), n_steps, dim)
-    # with A = 0 and a zero start every state after the first is the noise
+    # with A = 0 and a zero start every state is the noise
     spec = SystemSpec.lds(np.zeros((dim, dim)))
     states = simulate_batch(spec, np.zeros(dim), n_steps, seeds)
-    assert states.shape == (len(seeds), n_steps + 1, dim)
-    assert (states[:, 1:] == expected).all()
+    assert states.shape == (len(seeds), n_steps, dim)
+    assert (states == expected).all()
     if n_steps:
         endpoints = simulate_endpoints(spec, np.zeros(dim), n_steps, seeds)
         assert (endpoints == expected[:, -1]).all()
@@ -750,8 +800,8 @@ def test_noise_equals_per_seed_generator_draws(per_seed_draws, n_steps, dim):
 
 def test_noise_of_no_seeds():
     spec = SystemSpec.lds(np.eye(2))
-    assert simulate_batch(spec, [0.0, 0.0], 5, []).shape == (0, 6, 2)
-    assert simulate_batch(spec, [0.0, 0.0], 5, [], per_seed=3).shape == (0, 6, 2)
+    assert simulate_batch(spec, [0.0, 0.0], 5, []).shape == (0, 5, 2)
+    assert simulate_batch(spec, [0.0, 0.0], 5, [], per_seed=3).shape == (0, 5, 2)
     assert simulate_endpoints(spec, [0.0, 0.0], 5, []).shape == (0, 2)
 
 
@@ -789,13 +839,13 @@ def test_concurrent_simulate_endpoints_match_serial():
 
 
 def _simulate_batch_reference(spec, x0, noise):
-    """Paths stepped in contiguous copies, driven by (m, n_steps, dim) noise."""
-    states = np.empty((noise.shape[0], noise.shape[1] + 1, spec.dim))
-    states[:, 0] = x0
-    cur = states[:, 0].copy()
+    """States after each step of the paths from ``x0`` driven by (m, n_steps,
+    dim) noise, stepped in fresh contiguous arrays."""
+    states = np.empty_like(noise)
+    cur = np.tile(np.asarray(x0, dtype=float), (noise.shape[0], 1))
     for k in range(noise.shape[1]):
         cur = dynamics._apply_matrices(spec, cur) + noise[:, k]
-        states[:, k + 1] = cur
+        states[:, k] = cur
     return states
 
 
@@ -863,7 +913,13 @@ def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypa
     seeds = derive_seeds(5, 0, 10)
     endpoints = simulate_endpoints(spec, x0, n_steps, seeds)
     assert endpoints.shape == (10, spec.dim)
-    assert np.array_equal(endpoints, simulate_batch(spec, x0, n_steps, seeds)[:, -1])
+    paths = simulate_batch(spec, x0, n_steps, seeds)
+    if n_steps:
+        assert np.array_equal(endpoints, paths[:, -1])
+    else:
+        # no step: every endpoint is the start, and the paths hold no state
+        assert paths.shape == (10, 0, spec.dim)
+        assert (endpoints == np.asarray(x0, dtype=float)).all()
 
 
 def test_simulate_endpoints_holds_one_noise_chunk():
@@ -966,10 +1022,46 @@ def test_paths_of_one_seed_step_through_its_stream(spec, x0, per_seed):
         ]
     )
     paths = simulate_batch(spec, x0, n_steps, seeds, per_seed=per_seed)
-    assert paths.shape == (len(seeds) * per_seed, n_steps + 1, spec.dim)
+    assert paths.shape == (len(seeds) * per_seed, n_steps, spec.dim)
     assert np.array_equal(paths, _simulate_batch_reference(spec, x0, noise))
     endpoints = simulate_endpoints(spec, x0, n_steps, seeds, per_seed=per_seed)
     assert np.array_equal(paths[:, -1], endpoints)
+
+
+@pytest.mark.parametrize("spec, x0", ENDPOINT_SYSTEMS)
+@pytest.mark.parametrize("per_seed", [1, 3])
+def test_a_seed_listed_twice_opens_two_generators(spec, x0, per_seed, monkeypatch):
+    # each listing opens Generator(PCG64(seed)) afresh, so the second copy
+    # repeats the first copy's noise instead of continuing its stream
+    n_steps, seeds = 9, [41, 41, 42]
+    noise = np.concatenate(
+        [
+            np.random.Generator(np.random.PCG64(seed)).standard_normal(
+                (per_seed, n_steps, spec.dim)
+            )
+            for seed in seeds
+        ]
+    )
+    first, second = slice(0, per_seed), slice(per_seed, 2 * per_seed)
+    paths = simulate_batch(spec, x0, n_steps, seeds, per_seed=per_seed)
+    assert np.array_equal(paths, _simulate_batch_reference(spec, x0, noise))
+    assert np.array_equal(paths[first], paths[second])
+    assert not np.array_equal(paths[first], paths[2 * per_seed :])
+    # chunks of per_seed + 1 trajectories: with per_seed = 3 the first chunk
+    # boundary cuts the second copy after its first trajectory
+    monkeypatch.setattr(
+        dynamics, "_NOISE_BUDGET_BYTES", (per_seed + 1) * n_steps * spec.dim * 8
+    )
+    endpoints = simulate_endpoints(spec, x0, n_steps, seeds, per_seed=per_seed)
+    assert np.array_equal(endpoints, _endpoints_in_chunks(spec, x0, noise))
+    if spec.dim == 1:
+        assert np.array_equal(endpoints[first], endpoints[second])
+        assert np.array_equal(endpoints, paths[:, -1])
+    # A = 0 from the origin: each endpoint is its last step's noise
+    zero = SystemSpec.lds(np.zeros((spec.dim, spec.dim)))
+    last = simulate_endpoints(zero, np.zeros(spec.dim), n_steps, seeds, per_seed=per_seed)
+    assert np.array_equal(last, noise[:, -1])
+    assert np.array_equal(last[first], last[second])
 
 
 def test_per_seed_must_be_positive():
@@ -994,8 +1086,8 @@ def test_starts_per_trajectory_draw_the_single_start_noise():
 
 
 def test_starts_per_trajectory_are_synchronously_coupled():
-    # the same noise drives both runs, so for a linear system the paths
-    # differ by A^n (x0 - y_i) up to rounding
+    # the same noise drives both runs, so for a linear system the states
+    # after step n differ by A^n (x0 - y_i) up to rounding
     a = np.array([[0.5, 0.3], [0.0, 0.4]])
     spec = SystemSpec.lds(a)
     x0 = np.array([3.0, -2.0])
@@ -1003,9 +1095,10 @@ def test_starts_per_trajectory_are_synchronously_coupled():
     seeds, n_steps = [21, 22], 6
     paths = simulate_batch(spec, x0, n_steps, seeds, per_seed=5)
     coupled = simulate_batch(spec, starts, n_steps, seeds, per_seed=5)
-    for n in range(n_steps + 1):
+    assert paths.shape == coupled.shape == (10, n_steps, 2)
+    for n in range(1, n_steps + 1):
         exact = (x0 - starts) @ np.linalg.matrix_power(a, n).T
-        assert np.allclose(paths[:, n] - coupled[:, n], exact, rtol=0.0, atol=1e-13)
+        assert np.allclose(paths[:, n - 1] - coupled[:, n - 1], exact, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", [(5, 2), (7, 2), (6, 3), (2, 6), (6,), (1, 6, 2)])
