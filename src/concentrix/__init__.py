@@ -10,7 +10,7 @@ declarative JSON config.
 """
 
 # set before the submodule imports: ``montecarlo`` stamps it into reports
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .dynamics import (
     HypothesisError,

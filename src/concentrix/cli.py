@@ -143,6 +143,16 @@ class ExperimentConfig:
         """:meth:`param` read as an integer by the seed's rule (:func:`_integer`)."""
         return _integer(key, self.param(key, default, required))
 
+    def numbers_param(self, key, default=None, required=False) -> list:
+        """:meth:`param` read as a list of numbers, returned as floats; a bare
+        number, null or true is an error."""
+        value = self.param(key, default, required)
+        if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            raise ConfigError(f"params.{key} must be a list of numbers, got {value!r}")
+        return [float(v) for v in value]
+
 
 def _reject_constant(name: str):
     # json.loads reads NaN, Infinity and -Infinity, which are no JSON numbers
@@ -244,8 +254,8 @@ def cmd_certify(config: ExperimentConfig) -> dict:
             bias=0.0,
         )
         curve = [
-            {"epsilon": float(eps), "bound": trajectory_deviation_bound(cert, float(eps))}
-            for eps in config.param("epsilons", [])
+            {"epsilon": eps, "bound": trajectory_deviation_bound(cert, eps)}
+            for eps in config.numbers_param("epsilons", [])
         ]
         result = {
             "kind": "lds_certificates",
@@ -294,7 +304,7 @@ def _run_deviation(config: ExperimentConfig):
     shared = {
         "spec": spec,
         "reward": reward,
-        "epsilons": config.param("epsilons", required=True),
+        "epsilons": config.numbers_param("epsilons", required=True),
         "replications": config.int_param("replications", required=True),
         "n_samples": config.int_param("n_samples", required=True),
         "seed": config.seed,

@@ -36,6 +36,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -219,6 +220,30 @@ def _row_norms(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
+def _key(obj, key: str, what: str):
+    """``obj[key]`` of a spec read from JSON; a ValueError names a missing
+    key or an ``obj`` that is no object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} needs key {key!r}")
+    return obj[key]
+
+
+def _list(value, what: str):
+    """``value`` when it is a list; otherwise a ValueError naming its type."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _number(value, what: str):
+    """``value`` when it is a number; true or a string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Region membership test: a conjunction of optional constraints.
@@ -296,21 +321,29 @@ class Predicate:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Predicate":
+        if not isinstance(obj, dict):
+            raise ValueError(f"predicate must be an object, got {type(obj).__name__}")
         known = {"ball_le", "ball_gt", "halfspaces", "catch_all"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown predicate keys: {sorted(unknown)}")
         if obj.get("catch_all"):
             return cls(catch_all=True)
+        radii = {k: obj.get(k) for k in ("ball_le", "ball_gt")}
+        for key, radius in radii.items():
+            if radius is not None:
+                _number(radius, key)
         hs = tuple(
-            (tuple(h["normal"]), float(h["offset"]))
-            for h in obj.get("halfspaces", ())
+            (
+                tuple(
+                    _number(v, "halfspace normal entry")
+                    for v in _list(_key(h, "normal", "halfspace"), "halfspace normal")
+                ),
+                float(_number(_key(h, "offset", "halfspace"), "halfspace offset")),
+            )
+            for h in _list(obj.get("halfspaces", ()), "halfspaces")
         )
-        return cls(
-            ball_le=obj.get("ball_le"),
-            ball_gt=obj.get("ball_gt"),
-            halfspaces=hs,
-        )
+        return cls(halfspaces=hs, **radii)
 
 
 @dataclass(frozen=True)
@@ -851,7 +884,7 @@ def system_to_dict(spec: SystemSpec) -> dict:
 
 
 def system_from_dict(obj: dict) -> SystemSpec:
-    kind = obj.get("type")
+    kind = _key(obj, "type", "system spec")
     if kind == "lds":
         if "A" not in obj:
             raise ValueError("lds spec needs a matrix under key 'A'")
@@ -860,7 +893,11 @@ def system_from_dict(obj: dict) -> SystemSpec:
         regions = obj.get("regions")
         if not regions:
             raise ValueError("slds spec needs a nonempty 'regions' list")
-        pairs = [(Predicate.from_dict(r["predicate"]), r["A"]) for r in regions]
+        pairs = [
+            (Predicate.from_dict(_key(r, "predicate", "slds region")),
+             _key(r, "A", "slds region"))
+            for r in _list(regions, "slds regions")
+        ]
         return SystemSpec.slds(pairs)
     raise ValueError(f"unknown system type: {kind!r}")
 

@@ -232,6 +232,46 @@ def test_certify_halfspace_normal_of_wrong_length_exits_2(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
+CATCH_ALL_HALF = {"predicate": {"catch_all": True}, "A": [[0.5]]}
+# (command, pipeline, system, params, error): a malformed config is a bad
+# config, named where it is read, and never a traceback
+MALFORMED = {
+    "region-without-predicate": (
+        "certify", "certify", {"type": "slds", "regions": [{"A": [[1.0]]}, CATCH_ALL_HALF]},
+        SLDS_PARAMS, ("ValueError", "slds region needs key 'predicate'"),
+    ),
+    "halfspace-without-normal": (
+        "certify", "certify",
+        {"type": "slds", "regions": [
+            {"predicate": {"halfspaces": [{"offset": 0.5}]}, "A": [[1.0]]}, CATCH_ALL_HALF,
+        ]},
+        SLDS_PARAMS, ("ValueError", "halfspace needs key 'normal'"),
+    ),
+    "region-as-string": (
+        "certify", "certify", {"type": "slds", "regions": ["ball_le", CATCH_ALL_HALF]},
+        SLDS_PARAMS, ("ValueError", "slds region must be an object, got str"),
+    ),
+    "bare-epsilon": (
+        "verify", "verify-deviation", LDS_HALF, {**SMALL_DEVIATION_PARAMS, "epsilons": 0.5},
+        ("ConfigError", "params.epsilons must be a list of numbers, got 0.5"),
+    ),
+    "null-epsilon": (
+        "certify", "certify", LDS_HALF, {"epsilons": [None]},
+        ("ConfigError", "params.epsilons must be a list of numbers, got [None]"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    command, pipeline, system, params, (kind, message) = MALFORMED[case]
+    body = {"pipeline": pipeline, "system": system, "seed": 1, "params": params}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {"type": kind, "message": message}
+    assert not out.exists()
+
+
 def test_region_over_the_vertex_budget_exits_2_before_enumerating(
     tmp_path, capsys, monkeypatch
 ):

@@ -1009,9 +1009,11 @@ def test_stationary_covariance_agrees_with_scipy(shape, norm):
     # symmetric I - A (x) A, trtrs for a triangular one) are both backward
     # stable, so the two solutions differ by at most a few eps times the
     # condition number of I - A (x) A
+    # from 10 dimensions up the solve is Smith's doubling, whose rounding
+    # differs from both but stays inside the same bounds
     rng = np.random.Generator(np.random.PCG64(28))
     eps = np.finfo(float).eps
-    for n in range(2, 10):
+    for n in [*range(2, 10), 10, 16, 24]:
         for _ in range(10):
             a = _contraction_of_shape(rng, n, shape, norm)
             sigma = lds_stationary_covariance(a)
@@ -1021,6 +1023,27 @@ def test_stationary_covariance_agrees_with_scipy(shape, norm):
             assert np.abs(sigma - reference).max() <= 32 * eps * cond * scale
             residual = np.abs(a @ sigma @ a.T + np.eye(n) - sigma).max()
             assert residual <= 1e-12 * np.abs(sigma).max()
+
+
+def test_stationary_covariance_doubling_terminates_next_to_the_norm_bound():
+    # 58 passes, under the 64 that any admitted norm needs.  Each square of
+    # 1 - x drops x^2 while x < 2^-27, and later squares double that error,
+    # so here the doubling keeps about half the digits (7.4e-9 relative);
+    # I - A (x) A is 2^-51 I, whose condition number is 1
+    a = 1.0 - 2.0**-52
+    sigma = lds_stationary_covariance(np.diag(np.full(12, a)))
+    assert np.array_equal(sigma, np.diag(np.diag(sigma)))
+    exact = 1.0 / (1.0 - a * a)
+    assert np.abs(np.diag(sigma) / exact - 1.0).max() <= np.sqrt(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0, 1.01])
+def test_stationary_covariance_doubling_refuses_what_does_not_converge(monkeypatch, scale):
+    # a norm test that rounds below 1 must not buy an unconverged S: with
+    # |rho| = 1 S doubles for all 64 passes, and above 1 A_k overflows
+    monkeypatch.setattr(montecarlo, "spectral_norm", lambda a: 0.0)
+    with pytest.raises(NotContractiveError, match="doubling did not converge"):
+        lds_stationary_covariance(scale * np.eye(12))
 
 
 def test_stationary_covariance_rejects_unstable():
