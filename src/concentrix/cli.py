@@ -102,6 +102,13 @@ def _integer(key: str, value) -> int:
     return number
 
 
+def _real(key: str, value) -> float:
+    """A number parameter as a float; null, true or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"params.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run.
@@ -142,6 +149,11 @@ class ExperimentConfig:
     def int_param(self, key, default=None, required=False) -> int:
         """:meth:`param` read as an integer by the seed's rule (:func:`_integer`)."""
         return _integer(key, self.param(key, default, required))
+
+    def number_param(self, key, default=None, required=False) -> float:
+        """:meth:`param` read as a number, returned as a float; null, true or
+        a string is an error (:func:`_real`)."""
+        return _real(key, self.param(key, default, required))
 
     def numbers_param(self, key, default=None, required=False) -> list:
         """:meth:`param` read as a list of numbers, returned as floats; a bare
@@ -233,7 +245,7 @@ def _envelope(config: ExperimentConfig, result: dict) -> dict:
 def _hypothesis(config: ExperimentConfig) -> list:
     """Radius, contraction and lipschitz of the geometric-mixing hypothesis."""
     return [
-        float(config.param(key, required=True))
+        config.number_param(key, required=True)
         for key in ("radius", "contraction", "lipschitz")
     ]
 
@@ -244,7 +256,7 @@ def cmd_certify(config: ExperimentConfig) -> dict:
     if spec.kind == "lds":
         t1, contraction = lds_certificate(spec)
         n_samples = config.int_param("n_samples", 100)
-        lipschitz = float(config.param("lipschitz", 1.0))
+        lipschitz = config.number_param("lipschitz", 1.0)
         tensorized = tensorized_constant(t1.constant, contraction.rate, n_samples)
         cert = ConcentrationCertificate(
             constant=t1.constant,
@@ -267,7 +279,7 @@ def cmd_certify(config: ExperimentConfig) -> dict:
         }
     else:
         hypothesis = _hypothesis(config)
-        alpha = float(config.param("alpha", required=True))
+        alpha = config.number_param("alpha", required=True)
         moment = slds_exp_lyapunov(spec, *hypothesis, alpha)
         drift = drift_from_exp_lyapunov(moment)
         geometric = slds_geometric_drift(spec, *hypothesis)
@@ -284,11 +296,10 @@ def cmd_certify(config: ExperimentConfig) -> dict:
 
 
 def _resolve_te_constant(config: ExperimentConfig, spec: SystemSpec) -> float:
-    explicit = config.param("te_constant")
-    if explicit is not None:
-        return float(explicit)
+    if config.param("te_constant") is not None:
+        return config.number_param("te_constant")
     hypothesis = _hypothesis(config)
-    moment = slds_exp_lyapunov(spec, *hypothesis, float(config.param("alpha", required=True)))
+    moment = slds_exp_lyapunov(spec, *hypothesis, config.number_param("alpha", required=True))
     return te_constant(drift_from_exp_lyapunov(moment))
 
 
@@ -308,7 +319,9 @@ def _run_deviation(config: ExperimentConfig):
         "replications": config.int_param("replications", required=True),
         "n_samples": config.int_param("n_samples", required=True),
         "seed": config.seed,
-        "target_mean": config.param("target_mean"),
+        "target_mean": (
+            None if config.param("target_mean") is None else config.number_param("target_mean")
+        ),
         "target_provenance": config.param("target_provenance"),
         "target_samples": config.int_param("target_samples", 100_000),
     }
@@ -353,11 +366,11 @@ def _run_contraction(config: ExperimentConfig):
     fit = contraction_rate_fit(
         spec, config.param("x0", required=True), n_max, per_step, reference, seed=config.seed
     )
-    expected = config.param("expected_rate")
-    if expected is None:
+    if config.param("expected_rate") is None:
         passed = True
     else:
-        passed = abs(fit.rate - float(expected)) <= float(config.param("tolerance", 0.1))
+        expected = config.number_param("expected_rate")
+        passed = abs(fit.rate - expected) <= config.number_param("tolerance", 0.1)
     return fit, passed
 
 
@@ -387,13 +400,14 @@ def _sweep_rows(config: ExperimentConfig):
 
     if variable in ("n_samples", "epsilon", "rate"):
         # one certificate per grid point, with the swept field overridden
-        casts = {"n_samples": partial(_integer, "n_samples"), "epsilon": float, "rate": float}
+        casts = {key: partial(_real, key) for key in ("epsilon", "rate")}
+        casts["n_samples"] = partial(_integer, "n_samples")
         if variable == "rate":
-            base = {"constant": float(config.param("constant", 1.0))}
+            base = {"constant": config.number_param("constant", 1.0)}
         else:
             t1, contraction = lds_certificate(config.require_system())
             base = {"constant": t1.constant, "rate": contraction.rate}
-        base["lipschitz"] = float(config.param("lipschitz", 1.0))
+        base["lipschitz"] = config.number_param("lipschitz", 1.0)
         for key in ("n_samples", "epsilon"):
             if key != variable:
                 base[key] = casts[key](config.param(key, required=True))
@@ -424,12 +438,12 @@ def _sweep_rows(config: ExperimentConfig):
             "te_constant",
         ]
         rows = []
-        for a in grid:
-            moment = slds_exp_lyapunov(spec, *hypothesis, float(a))
+        for a in map(partial(_real, "alpha"), grid):
+            moment = slds_exp_lyapunov(spec, *hypothesis, a)
             drift = drift_from_exp_lyapunov(moment)
             rows.append(
                 [
-                    float(a),
+                    a,
                     moment.beta,
                     moment.scale,
                     drift.contraction,

@@ -12,12 +12,17 @@ trajectories of one law take them from few streams.
 
 A batch advances one step at a time.  Each region's matrix multiplies the
 whole batch, and a row keeps the product of the first region that matches
-it; there are no per-region gathers.  A batch of two or more rows is
-multiplied against a contiguous copy of each transpose, which gives the bits
-of the product with the transposed view by a faster BLAS route; a one-row
-batch and a region's lone row keep numpy's matrix-vector route.  Membership
-sums squares and halfspace products along each row from left to right, so
-``step``, ``region_index`` and a batch put a point in the same region.
+it: one ``np.putmask`` over whole-row items puts a region's products into
+the result, and there are no per-region gathers.  A batch of two or more
+rows is multiplied against a contiguous copy of each transpose, which gives
+the bits of the product with the transposed view by a faster BLAS route; a
+one-row batch and a region's lone row keep numpy's matrix-vector route.
+Membership sums squares and halfspace products along each row from left to
+right.  A step sums the squares once for every predicate and compares them
+with each ball bound's squared cut (:func:`_ball_cut`), which decides as the
+rooted norm would without taking a root; a predicate tests all its
+halfspaces at once.  So ``region_index`` and a batch of any size put a
+point in the same region.
 
 Every run fills a contiguous (m, n_steps, dim) noise array with one
 ``standard_normal`` call per seed's run of trajectories, and steps its
@@ -54,7 +59,6 @@ __all__ = [
     "HypothesisReport",
     "derive_seed",
     "derive_seeds",
-    "step",
     "simulate",
     "simulate_batch",
     "simulate_endpoints",
@@ -199,8 +203,10 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     The rounding is the same for every row count and position, unlike a
     BLAS product or a pairwise reduction.
     """
-    total = terms[..., 0].copy()
-    for j in range(1, terms.shape[-1]):
+    if terms.shape[-1] == 1:
+        return terms[..., 0].copy()
+    total = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
         total += terms[..., j]
     return total
 
@@ -244,6 +250,23 @@ def _number(value, what: str):
     return value
 
 
+def _ball_cut(r: float) -> float:
+    """The largest double ``s`` with ``math.sqrt(s) <= r``, for a radius ``r >= 0``.
+
+    sqrt is correctly rounded and monotone (IEEE 754-2019, 5.4.1), so for
+    every double ``s``, inf and NaN included, ``sqrt(s) <= r`` holds iff
+    ``s <= cut`` and ``sqrt(s) > r`` iff ``s > cut``: a squared norm is
+    compared with the cut, and no root is taken.  ``r * r`` is within a few
+    steps of the cut.
+    """
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(up := math.nextafter(s, math.inf)) <= r:
+        s = up
+    return s
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Region membership test: a conjunction of optional constraints.
@@ -251,12 +274,19 @@ class Predicate:
     Constraints are a closed ball ``||x|| <= ball_le``, an open complement
     ``||x|| > ball_gt``, and halfspaces ``normal . x <= offset``.  A
     catch-all predicate matches everything and carries no other constraint.
+    Each ball bound is also kept as its squared-norm cut (:func:`_ball_cut`),
+    and the halfspaces as one stack of normals and one of offsets.
     """
 
     ball_le: float | None = None
     ball_gt: float | None = None
     halfspaces: tuple[tuple[tuple[float, ...], float], ...] = ()
     catch_all: bool = False
+    _le_cut: float | None = field(init=False, repr=False, compare=False, default=None)
+    _gt_cut: float | None = field(init=False, repr=False, compare=False, default=None)
+    # (k, n, 1) normals and (k, 1) offsets, or None without halfspaces
+    _normals: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _offsets: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.catch_all:
@@ -274,31 +304,50 @@ class Predicate:
             if not all(np.isfinite(vec)) or not np.isfinite(offset):
                 raise ValueError("halfspace coefficients must be finite")
             hs.append((vec, float(offset)))
+        lengths = sorted({len(vec) for vec, _ in hs})
+        if len(lengths) > 1:
+            raise ValueError(f"halfspace normals have lengths {lengths}; they must share one")
         object.__setattr__(self, "halfspaces", tuple(hs))
+        for name, r in (("_le_cut", self.ball_le), ("_gt_cut", self.ball_gt)):
+            if r is not None:
+                object.__setattr__(self, name, _ball_cut(float(r)))
+        if hs:
+            normals = np.array([vec for vec, _ in hs])[:, :, None]
+            offsets = np.array([offset for _, offset in hs])[:, None]
+            normals.setflags(write=False)
+            offsets.setflags(write=False)
+            object.__setattr__(self, "_normals", normals)
+            object.__setattr__(self, "_offsets", offsets)
 
     def matches(self, x) -> bool:
         """Membership of one point: :meth:`matches_batch` on a single row."""
         return bool(self.matches_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
-    def matches_batch(self, pts: np.ndarray) -> np.ndarray:
+    def matches_batch(self, pts: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """Vectorized membership over an (m, n) array of points.
 
-        Norms and halfspace products are row sums taken left to right
-        (:func:`_row_sums`), so a point gets the same answer alone as in
-        any batch.
+        ``sq`` holds the rows' squared norms, ``_row_sums(pts * pts)``; they
+        are computed when not given.  Squared norms are compared with the
+        ball cuts and halfspace products with the offsets, all of them row
+        sums taken left to right (:func:`_row_sums`), so a point gets the
+        same answer alone as in any batch.  The halfspace products are laid
+        out (k, n, m), so each numpy loop runs along the rows.
         """
         pts = np.asarray(pts, dtype=float)
         if self.catch_all:
             return np.ones(pts.shape[0], dtype=bool)
         tests = []
-        if self.ball_le is not None or self.ball_gt is not None:
-            nrm = _row_norms(pts)
-            if self.ball_le is not None:
-                tests.append(nrm <= self.ball_le)
-            if self.ball_gt is not None:
-                tests.append(nrm > self.ball_gt)
-        for normal, offset in self.halfspaces:
-            tests.append(_row_sums(pts * np.asarray(normal)) <= offset)
+        if self._le_cut is not None or self._gt_cut is not None:
+            if sq is None:
+                sq = _row_sums(pts * pts)
+            if self._le_cut is not None:
+                tests.append(sq <= self._le_cut)
+            if self._gt_cut is not None:
+                tests.append(sq > self._gt_cut)
+        if self._normals is not None:
+            terms = np.multiply(self._normals, pts.T, order="C")
+            inside = _row_sums(terms.transpose(0, 2, 1)) <= self._offsets
+            tests.append(np.logical_and.reduce(inside, axis=0))
         ok = tests[0]
         for test in tests[1:]:
             ok &= test
@@ -392,12 +441,21 @@ class SystemSpec:
     matrices: tuple[np.ndarray, ...]
     regions: RegionSpec | None = None
     transposes: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    # one state row as a single item, so a row mask needs no broadcasting
+    _row: np.dtype = field(init=False, repr=False)
+    # whether some region has a ball bound, so a step needs squared norms
+    _balls: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         transposes = tuple(np.array(m.T, order="C") for m in self.matrices)
         for t in transposes:
             t.setflags(write=False)
         object.__setattr__(self, "transposes", transposes)
+        object.__setattr__(self, "_row", np.dtype((np.void, 8 * self.dim)))
+        preds = self.regions.predicates if self.regions is not None else ()
+        object.__setattr__(
+            self, "_balls", any(p.ball_le is not None or p.ball_gt is not None for p in preds)
+        )
 
     @classmethod
     def lds(cls, a) -> "SystemSpec":
@@ -489,13 +547,6 @@ def _check_vector(x, dim: int, name: str = "x", rows: int | None = None) -> np.n
     return v
 
 
-def step(spec: SystemSpec, x, noise) -> np.ndarray:
-    """One transition: apply the active matrix to ``x`` and add ``noise``."""
-    xv = _check_vector(x, spec.dim, "x")
-    nv = _check_vector(noise, spec.dim, "noise")
-    return spec.matrix_for(xv) @ xv + nv
-
-
 def _batch_product(pts: np.ndarray, mat_t: np.ndarray, out: np.ndarray) -> None:
     """``pts @ mat_t`` into ``out``; a 1-D batch takes the scalar multiply."""
     if mat_t.shape == (1, 1):
@@ -515,13 +566,16 @@ def _apply_matrices(
     contiguous copies of the transposes (``SystemSpec.transposes``), which
     give the same bits as ``pts @ A.T`` on the transposed view and take a
     faster BLAS route.  Each matrix multiplies the whole batch, and a row
-    keeps the product of the first region that matches it.  numpy multiplies
-    a lone row with a matrix-vector routine that rounds differently from the
-    batch product, so a one-row batch, and a region that holds exactly one
-    row, take that row's product alone as ``row @ A.T``, as a gathered
-    one-row product would; seeded outputs rely on those bits.  In one
-    dimension a batch is multiplied by the scalar, which gives ``matmul``'s
-    values at a fraction of its cost; only the sign of a zero can differ.
+    keeps the product of the first region that matches it: the rows' squared
+    norms are summed once and handed to every predicate, and a region's
+    products are put into ``out`` through whole-row items (``np.putmask``).
+    numpy multiplies a lone row with a matrix-vector routine that rounds
+    differently from the batch product, so a one-row batch, and a region
+    that holds exactly one row, take that row's product alone as
+    ``row @ A.T``, as a gathered one-row product would; seeded outputs rely
+    on those bits.  In one dimension a batch is multiplied by the scalar,
+    which gives ``matmul``'s values at a fraction of its cost; only the sign
+    of a zero can differ.
     """
     if out is None:
         out = np.empty(pts.shape)
@@ -533,26 +587,29 @@ def _apply_matrices(
         return out
     if scratch is None:
         scratch = np.empty(pts.shape)
-    # whole rows as single items: a row mask needs no broadcasting
-    row = np.dtype((np.void, out.itemsize * out.shape[1]))
-    out_rows, scratch_rows = out.view(row), scratch.view(row)
-    free = None  # rows no earlier region matched; None before the first region
+    out_rows, scratch_rows = out.view(spec._row)[:, 0], scratch.view(spec._row)[:, 0]
+    # scratch holds no product yet, so the squares can go there
+    sq = _row_sums(np.multiply(pts, pts, out=scratch)) if spec._balls else None
+    taken = None  # rows an earlier region matched; None before the first region
+    left = len(pts)  # rows no region matched yet
     for pred, mat, mat_t in zip(
         spec.regions.predicates[:-1], spec.matrices[:-1], spec.transposes[:-1]
     ):
-        mask = pred.matches_batch(pts)
-        if free is None:
-            free = ~mask
+        mask = pred.matches_batch(pts, sq)
+        if taken is None:
+            taken = mask
         else:
-            mask &= free
-            free ^= mask
+            np.greater(mask, taken, out=mask)  # matched here and not before
+            taken = taken | mask
         count = np.count_nonzero(mask)
+        left -= count
         if count > 1:
             _batch_product(pts, mat_t, scratch)
-            np.copyto(out_rows, scratch_rows, where=mask[:, None])
+            np.putmask(out_rows, mask, scratch_rows)
         elif count == 1:
             out[mask] = pts[mask] @ mat.T
-    if np.count_nonzero(free) == 1:
+    if left == 1:
+        free = ~taken
         out[free] = pts[free] @ spec.matrices[-1].T
     return out
 
@@ -570,9 +627,12 @@ def _run_steps(
     cur = np.empty((noise.shape[0], noise.shape[2]))
     cur[...] = x0v
     nxt, scratch = np.empty_like(cur), np.empty_like(cur)
+    # numpy's default order runs a short inner loop per row of the strided
+    # noise slice; below 4 columns, running down the columns is faster
+    order = "F" if noise.shape[2] < 4 else "K"
     for k in range(noise.shape[1]):
         _apply_matrices(spec, cur, out=nxt, scratch=scratch)
-        nxt += noise[:, k]
+        np.add(nxt, noise[:, k], out=nxt, order=order)
         if keep:
             noise[:, k] = nxt
         cur, nxt = nxt, cur
@@ -653,8 +713,8 @@ def simulate_endpoints(
 
     Only the endpoints are kept, so the steps do not overwrite the noise
     with the states: that strided write per step took the stepping of a
-    2 MiB chunk (2,621 paths of 50 steps on a 2-D switched system) from
-    2.9 to 3.7 ms (2 vCPUs, BLAS on one thread).
+    freshly filled 2 MiB chunk (2,621 paths of 50 steps on a 2-D switched
+    system) from about 2.25 to 3.15 ms (2 vCPUs, BLAS on one thread).
 
     Returns
     -------

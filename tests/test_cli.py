@@ -471,6 +471,32 @@ def test_sweep_grid_value_that_is_no_integer_exits_2(tmp_path, capsys, value):
     assert not (out / "sweep.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command,pipeline,system,params,key",
+    [
+        ("certify", "certify", SLDS_CHAIN, {**SLDS_PARAMS, "radius": None}, "radius"),
+        ("certify", "certify", SLDS_CHAIN, {**SLDS_PARAMS, "alpha": "0.25"}, "alpha"),
+        ("sweep", "sweep", LDS_HALF, {"variable": "epsilon", "grid": [None], "n_samples": 10},
+         "epsilon"),
+        ("sweep", "sweep", SLDS_CHAIN, {**SLDS_PARAMS, "variable": "alpha", "grid": [None]},
+         "alpha"),
+        ("verify", "verify-deviation", LDS_HALF,
+         {**IID_PARAMS, "target_mean": True, "target_provenance": "stated"}, "target_mean"),
+    ],
+)
+def test_null_or_string_where_a_number_is_expected_exits_2(
+    tmp_path, capsys, command, pipeline, system, params, key
+):
+    # null used to reach float() and exit 1 with a TypeError, and true ran as 1.0
+    body = {"pipeline": pipeline, "system": system, "seed": 1, "params": params}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, body), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"params.{key} must be a number, got ")
+    assert not out.exists()
+
+
 def test_whole_float_integer_params_run_as_their_integers(tmp_path):
     results = []
     for kind in (int, float):

@@ -1,5 +1,6 @@
 """Tests for system definitions, simulation, and seed derivation."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -24,7 +25,6 @@ from concentrix.dynamics import (
     simulate_batch,
     simulate_endpoints,
     spectral_norm,
-    step,
     system_from_dict,
     system_to_dict,
 )
@@ -45,26 +45,29 @@ def ball_then_catchall(a_inner, a_outer, radius=1.0):
 
 def test_step_lds_linear_map_zero_noise():
     spec = SystemSpec.lds([[0.5]])
-    assert step(spec, [2.0], [0.0]) == pytest.approx([1.0])
+    x = np.array([2.0])
+    assert spec.matrix_for(x) @ x + np.array([0.0]) == pytest.approx([1.0])
 
 
 def test_step_slds_inner_region_applies():
     spec = ball_then_catchall([[2.0]], [[0.5]])
-    assert step(spec, [0.5], [0.1]) == pytest.approx([1.1])
+    x = np.array([0.5])
+    assert spec.matrix_for(x) @ x + np.array([0.1]) == pytest.approx([1.1])
 
 
 def test_step_identity_map():
     spec = SystemSpec.lds(np.eye(2))
-    out = step(spec, [1.0, 2.0], [-1.0, -2.0])
+    out = dynamics._apply_matrices(spec, np.array([[1.0, 2.0]]))[0] + [-1.0, -2.0]
     assert out == pytest.approx([0.0, 0.0])
 
 
 def test_step_dimension_mismatch():
     spec = SystemSpec.lds(np.eye(2))
-    with pytest.raises(ValueError):
-        step(spec, [1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        step(spec, [1.0, 2.0], [0.0])
+    for m in (1, 2):
+        with pytest.raises(ValueError):
+            dynamics._apply_matrices(spec, np.ones((m, 1)))
+    with pytest.raises(ValueError, match="x0 has dimension 1"):
+        simulate_batch(spec, [1.0], 1, [0])
 
 
 # ---------------------------------------------------------------- simulate
@@ -219,8 +222,69 @@ def test_region_index_matches_batch_dispatch_at_a_rounding_boundary():
     assert region_index(spec.regions, x) == 1
     assert spec.matrix_for(x) is spec.matrices[1]
     batch_step = dynamics._apply_matrices(spec, x[None])[0]
-    assert np.array_equal(step(spec, x, [0.0, 0.0]), batch_step)
+    assert np.array_equal(spec.matrix_for(x) @ x + np.zeros(2), batch_step)
     assert np.array_equal(batch_step, 0.5 * x)
+
+
+# radii from zero and the least subnormal to beyond sqrt(max), where r * r is inf
+CUT_RADII = [0.0, 5e-324, 1e-160, 0.1, 1.0, 1.3, 2.5, 1e154, math.sqrt(sys.float_info.max), 1e300]
+
+
+def test_ball_cut_decides_each_square_as_its_root_does():
+    rng = np.random.default_rng(31)
+    drawn = np.concatenate([rng.uniform(0.0, 4.0, 100), 10.0 ** rng.uniform(-300, 300, 100)])
+    radii = CUT_RADII + drawn.tolist()
+    assert len(radii) == 210
+    for r in radii:
+        cut = dynamics._ball_cut(r)
+        s = np.array(
+            [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf), r * r,
+             0.0, 5e-324, math.inf, math.nan]
+        )
+        s = s[~(s < 0.0)]  # a sum of squares is never negative
+        with np.errstate(over="ignore"):
+            root = np.sqrt(s)
+        assert ((s <= cut) == (root <= r)).all(), r
+        assert ((s > cut) == (root > r)).all(), r
+
+
+def _every_predicate_kind(dim, radius):
+    normal, other = np.linspace(1.0, -0.5, dim), np.linspace(-0.3, 0.7, dim)
+    halfspaces = ((tuple(normal), 0.4), (tuple(other), 0.9))
+    return [
+        Predicate(ball_le=radius),
+        Predicate(ball_gt=radius),
+        Predicate(ball_le=2.0 * radius, ball_gt=radius),
+        Predicate(halfspaces=halfspaces[:1]),
+        Predicate(halfspaces=halfspaces),
+        Predicate(ball_le=radius, halfspaces=halfspaces),
+        Predicate(ball_gt=radius, halfspaces=halfspaces),
+        Predicate(catch_all=True),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_matches_batch_with_given_squares_equals_its_own_and_the_rooted_norm(dim):
+    rng = np.random.default_rng(40 + dim)
+    radius = 1.3
+    directions = rng.normal(size=(300, dim))
+    on_sphere = radius * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    pts = np.concatenate([_ulp_neighbours(on_sphere, rng), rng.normal(size=(300, dim))])
+    sq = dynamics._row_sums(pts * pts)
+    norms = np.sqrt(sq)
+    for pred in _every_predicate_kind(dim, radius):
+        got = pred.matches_batch(pts)
+        assert np.array_equal(pred.matches_batch(pts, sq), got), pred
+        want = np.ones(len(pts), dtype=bool)
+        if pred.ball_le is not None:
+            want &= norms <= pred.ball_le
+        if pred.ball_gt is not None:
+            want &= norms > pred.ball_gt
+        for normal, offset in pred.halfspaces:
+            want &= dynamics._row_sums(pts * np.asarray(normal)) <= offset
+        assert np.array_equal(got, want), pred
+    # the sphere is crossed, so both answers are seen
+    assert 0 < (norms[:300] <= radius).sum() < 300
 
 
 def _ulp_neighbours(points, rng):
@@ -672,6 +736,12 @@ def test_system_json_roundtrip_slds():
     for a, b in zip(clone.matrices, spec.matrices):
         assert np.array_equal(a, b)
     assert clone.regions.predicates == spec.regions.predicates
+
+
+def test_predicate_rejects_halfspace_normals_of_different_lengths():
+    # the normals are stacked into one array when the predicate is built
+    with pytest.raises(ValueError, match=r"lengths \[2, 3\]"):
+        Predicate(halfspaces=(((1.0, 0.0), 0.5), ((1.0, 0.0, 0.0), 0.5)))
 
 
 def test_system_from_dict_rejects_unknown_type():
