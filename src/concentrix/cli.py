@@ -22,6 +22,8 @@ from pathlib import Path
 
 from .dynamics import (
     SystemSpec,
+    _list,
+    _number,
     _write_csv,
     derive_seed,
     system_digest,
@@ -107,6 +109,16 @@ def _real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"params.{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _vector(what: str, value):
+    """A point parameter: a number or a list of numbers (:func:`_number`)."""
+    if isinstance(value, list):
+        for v in value:
+            _number(v, f"{what} entry")
+    else:
+        _number(value, what)
+    return value
 
 
 @dataclass(frozen=True)
@@ -326,7 +338,8 @@ def _run_deviation(config: ExperimentConfig):
         "target_samples": config.int_param("target_samples", 100_000),
     }
     if mode == "trajectory":
-        return deviation_probability_experiment(x0=config.param("x0", required=True), **shared)
+        x0 = _vector("params.x0", config.param("x0", required=True))
+        return deviation_probability_experiment(x0=x0, **shared)
     if mode == "iid":
         return iid_deviation_experiment(
             burn_in=config.int_param("burn_in", required=True),
@@ -338,7 +351,10 @@ def _run_deviation(config: ExperimentConfig):
 
 def _run_drift_check(config: ExperimentConfig):
     spec = config.require_system()
-    x_grid = config.param("x_grid", required=True)
+    x_grid = [
+        _vector("params.x_grid point", point)
+        for point in _list(config.param("x_grid", required=True), "params.x_grid")
+    ]
     samples = config.int_param("samples_per_point", 2000)
     certificate = None
     if config.param("radius") is not None:
@@ -363,9 +379,8 @@ def _run_contraction(config: ExperimentConfig):
         config.int_param("reference_burn_in", 100),
         derive_seed(config.seed, _STREAM_CLI_REFERENCE),
     )
-    fit = contraction_rate_fit(
-        spec, config.param("x0", required=True), n_max, per_step, reference, seed=config.seed
-    )
+    x0 = _vector("params.x0", config.param("x0", required=True))
+    fit = contraction_rate_fit(spec, x0, n_max, per_step, reference, seed=config.seed)
     if config.param("expected_rate") is None:
         passed = True
     else:

@@ -11,18 +11,15 @@ as drawing some 600 normals (numpy 2.4, 2 vCPUs), so callers that need many
 trajectories of one law take them from few streams.
 
 A batch advances one step at a time.  Each region's matrix multiplies the
-whole batch, and a row keeps the product of the first region that matches
-it: one ``np.putmask`` over whole-row items puts a region's products into
-the result, and there are no per-region gathers.  A batch of two or more
-rows is multiplied against a contiguous copy of each transpose, which gives
-the bits of the product with the transposed view by a faster BLAS route; a
-one-row batch and a region's lone row keep numpy's matrix-vector route.
-Membership sums squares and halfspace products along each row from left to
-right.  A step sums the squares once for every predicate and compares them
-with each ball bound's squared cut (:func:`_ball_cut`), which decides as the
-rooted norm would without taking a root; a predicate tests all its
-halfspaces at once.  So ``region_index`` and a batch of any size put a
-point in the same region.
+whole batch, through a contiguous copy of its transpose, and a row keeps
+the product of the first region that matches it: one ``np.putmask`` over
+whole-row items puts a region's products into the result, and there are no
+per-region gathers.  Membership sums squares and halfspace products along
+each row from left to right.  A step sums the squares once for every
+predicate and compares them with each ball bound's squared cut
+(:func:`_ball_cut`), which decides as the rooted norm would without taking
+a root; a predicate tests all its halfspaces at once.  So ``region_index``
+and a batch of any size put a point in the same region.
 
 Every run fills a contiguous (m, n_steps, dim) noise array with one
 ``standard_normal`` call per seed's run of trajectories, and steps its
@@ -250,6 +247,14 @@ def _number(value, what: str):
     return value
 
 
+def _matrix(value, what: str):
+    """``value`` when it is a list of lists of numbers (:func:`_number`)."""
+    for row in _list(value, what):
+        for v in _list(row, f"{what} row"):
+            _number(v, f"{what} entry")
+    return value
+
+
 def _ball_cut(r: float) -> float:
     """The largest double ``s`` with ``math.sqrt(s) <= r``, for a radius ``r >= 0``.
 
@@ -376,7 +381,9 @@ class Predicate:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown predicate keys: {sorted(unknown)}")
-        if obj.get("catch_all"):
+        if "catch_all" in obj:
+            if obj["catch_all"] is not True:
+                raise ValueError(f"catch_all must be true, got {obj['catch_all']!r}")
             return cls(catch_all=True)
         radii = {k: obj.get(k) for k in ("ball_le", "ball_gt")}
         for key, radius in radii.items():
@@ -562,55 +569,31 @@ def _apply_matrices(
 
     The result goes to ``out`` and ``scratch`` holds one region's products;
     both are (m, dim) arrays that must not overlap ``pts``, and are allocated
-    when not given.  A batch of two or more rows is multiplied against the
-    contiguous copies of the transposes (``SystemSpec.transposes``), which
-    give the same bits as ``pts @ A.T`` on the transposed view and take a
-    faster BLAS route.  Each matrix multiplies the whole batch, and a row
-    keeps the product of the first region that matches it: the rows' squared
-    norms are summed once and handed to every predicate, and a region's
-    products are put into ``out`` through whole-row items (``np.putmask``).
-    numpy multiplies a lone row with a matrix-vector routine that rounds
-    differently from the batch product, so a one-row batch, and a region
-    that holds exactly one row, take that row's product alone as
-    ``row @ A.T``, as a gathered one-row product would; seeded outputs rely
-    on those bits.  In one dimension a batch is multiplied by the scalar,
-    which gives ``matmul``'s values at a fraction of its cost; only the sign
-    of a zero can differ.
+    when not given.  Every product multiplies the whole batch against the
+    contiguous copy of a transpose (``SystemSpec.transposes``).  ``out``
+    starts as the catch-all's products; the rows' squared norms are summed
+    once and handed to every other predicate, and the regions that match
+    some row then put their products into ``out`` through whole-row items
+    (``np.putmask``), from the last region to the first, so a row keeps the
+    product of the first region that matches it.  In one dimension a batch
+    is multiplied by the scalar, which gives ``matmul``'s values at a
+    fraction of its cost; only the sign of a zero can differ.
     """
     if out is None:
         out = np.empty(pts.shape)
-    if len(pts) == 1:
-        out[...] = pts @ spec.matrix_for(pts[0]).T
-        return out
     _batch_product(pts, spec.transposes[-1], out)
     if len(spec.matrices) == 1:
         return out
     if scratch is None:
         scratch = np.empty(pts.shape)
-    out_rows, scratch_rows = out.view(spec._row)[:, 0], scratch.view(spec._row)[:, 0]
     # scratch holds no product yet, so the squares can go there
     sq = _row_sums(np.multiply(pts, pts, out=scratch)) if spec._balls else None
-    taken = None  # rows an earlier region matched; None before the first region
-    left = len(pts)  # rows no region matched yet
-    for pred, mat, mat_t in zip(
-        spec.regions.predicates[:-1], spec.matrices[:-1], spec.transposes[:-1]
-    ):
-        mask = pred.matches_batch(pts, sq)
-        if taken is None:
-            taken = mask
-        else:
-            np.greater(mask, taken, out=mask)  # matched here and not before
-            taken = taken | mask
-        count = np.count_nonzero(mask)
-        left -= count
-        if count > 1:
+    masks = [pred.matches_batch(pts, sq) for pred in spec.regions.predicates[:-1]]
+    out_rows, scratch_rows = out.view(spec._row)[:, 0], scratch.view(spec._row)[:, 0]
+    for mask, mat_t in zip(reversed(masks), reversed(spec.transposes[:-1])):
+        if mask.any():
             _batch_product(pts, mat_t, scratch)
             np.putmask(out_rows, mask, scratch_rows)
-        elif count == 1:
-            out[mask] = pts[mask] @ mat.T
-    if left == 1:
-        free = ~taken
-        out[free] = pts[free] @ spec.matrices[-1].T
     return out
 
 
@@ -653,11 +636,12 @@ def simulate_batch(
     trajectories of one seed step through its stream in order, and with the
     default ``per_seed=1`` each trajectory is the start of a stream of its
     own.  A seed given twice opens two generators, so it gives two equal
-    blocks of paths.  The noise is the same in any batch.  The states are
-    too in one dimension; from two dimensions on, a trajectory that is alone
-    in a batch or in its region is multiplied by numpy's lone-row routine,
-    whose last bits can differ from the batch product.  Every seed must lie
-    in [0, 2**64).
+    blocks of paths.  The noise is the same in any batch.  So are the
+    states in batches of two or more trajectories on the OpenBLAS kernels
+    tried (SkylakeX, Haswell, Zen; Nehalem rounds 8-D rows by batch size).
+    numpy multiplies a batch of one by a matrix-vector routine, whose last
+    bits can differ from two dimensions on.  Every seed must lie in
+    [0, 2**64).
 
     The noise of the whole batch is drawn into the returned array, and each
     step overwrites its noise with its states (:func:`_run_steps` with
@@ -702,8 +686,7 @@ def simulate_endpoints(
     block ``t % per_seed`` of ``n_steps * dim`` draws of
     ``Generator(PCG64(seeds[t // per_seed]))``.  The states are
     :func:`simulate_batch`'s final states (``x0`` after zero steps), bit for
-    bit in one dimension; from two on, a trajectory alone in its chunk or
-    region can differ in its last bits.
+    bit unless a chunk or the batch holds one trajectory alone.
 
     Trajectories run in chunks whose noise fits a fixed byte budget, so
     memory stays bounded however many trajectories are asked for.  A chunk
@@ -948,14 +931,14 @@ def system_from_dict(obj: dict) -> SystemSpec:
     if kind == "lds":
         if "A" not in obj:
             raise ValueError("lds spec needs a matrix under key 'A'")
-        return SystemSpec.lds(obj["A"])
+        return SystemSpec.lds(_matrix(obj["A"], "lds A"))
     if kind == "slds":
         regions = obj.get("regions")
         if not regions:
             raise ValueError("slds spec needs a nonempty 'regions' list")
         pairs = [
             (Predicate.from_dict(_key(r, "predicate", "slds region")),
-             _key(r, "A", "slds region"))
+             _matrix(_key(r, "A", "slds region"), "slds region A"))
             for r in _list(regions, "slds regions")
         ]
         return SystemSpec.slds(pairs)

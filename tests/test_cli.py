@@ -232,6 +232,7 @@ def test_certify_halfspace_normal_of_wrong_length_exits_2(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
+CONTRACTION_PARAMS = {"x0": [5.0], "n_max": 5, "per_step": 64}
 CATCH_ALL_HALF = {"predicate": {"catch_all": True}, "A": [[0.5]]}
 # (command, pipeline, system, params, error): a malformed config is a bad
 # config, named where it is read, and never a traceback
@@ -258,6 +259,47 @@ MALFORMED = {
     "null-epsilon": (
         "certify", "certify", LDS_HALF, {"epsilons": [None]},
         ("ConfigError", "params.epsilons must be a list of numbers, got [None]"),
+    ),
+    # JSON strings and booleans, which a float array would read as numbers
+    "string-matrix-entry": (
+        "certify", "certify", {"type": "lds", "A": [["0.5"]]}, {},
+        ("ValueError", "lds A entry must be a number, got str"),
+    ),
+    "boolean-matrix-entry": (
+        "certify", "certify", {"type": "lds", "A": [[False]]}, {},
+        ("ValueError", "lds A entry must be a number, got bool"),
+    ),
+    "boolean-region-matrix-entry": (
+        "certify", "certify",
+        {"type": "slds", "regions": [
+            {"predicate": {"ball_le": 1.0}, "A": [[True]]}, CATCH_ALL_HALF,
+        ]},
+        SLDS_PARAMS, ("ValueError", "slds region A entry must be a number, got bool"),
+    ),
+    "boolean-x0": (
+        "verify", "verify-deviation", LDS_HALF, {**SMALL_DEVIATION_PARAMS, "x0": [True]},
+        ("ValueError", "params.x0 entry must be a number, got bool"),
+    ),
+    "string-x0": (
+        "verify", "verify-deviation", LDS_HALF, {**SMALL_DEVIATION_PARAMS, "x0": "3"},
+        ("ValueError", "params.x0 must be a number, got str"),
+    ),
+    "string-contraction-x0": (
+        "verify", "contraction", LDS_HALF, {**CONTRACTION_PARAMS, "x0": ["20"]},
+        ("ValueError", "params.x0 entry must be a number, got str"),
+    ),
+    "string-x-grid-point": (
+        "verify", "verify-lyapunov", LDS_2D,
+        {"x_grid": [["1", "0"], [True, False]], "samples_per_point": 1000},
+        ("ValueError", "params.x_grid point entry must be a number, got str"),
+    ),
+    "catch-all-no": (
+        "certify", "certify",
+        {"type": "slds", "regions": [
+            {"predicate": {"ball_le": 1.0}, "A": [[1.0]]},
+            {"predicate": {"catch_all": "no"}, "A": [[0.5]]},
+        ]},
+        SLDS_PARAMS, ("ValueError", "catch_all must be true, got 'no'"),
     ),
 }
 
@@ -379,7 +421,6 @@ IID_PARAMS = {
     "burn_in": 20, "epsilons": [0.5], "te_constant": 1e-6,
 }
 DRIFT_PARAMS = {"x_grid": [[0.0], [2.0]], "samples_per_point": 100}
-CONTRACTION_PARAMS = {"x0": [5.0], "n_max": 5, "per_step": 64}
 # (command, pipeline, system, params, key): each key is a size parameter
 INTEGER_PARAMS = [
     ("certify", "certify", LDS_HALF, {"n_samples": 100}, "n_samples"),

@@ -343,18 +343,16 @@ def _matches_reference(pred, pts):
 
 
 def _apply_matrices_reference(spec, pts):
-    """Region dispatch as first written: gather each region's rows, then scatter."""
+    """Region dispatch row by row: each row takes its row of the whole-batch
+    product of the first region that matches it."""
+    products = [pts @ t for t in spec.transposes]
     if spec.kind == "lds":
-        return pts @ spec.matrices[0].T
+        return products[0]
+    masks = [_matches_reference(pred, pts) for pred in spec.regions.predicates]
     out = np.empty_like(pts)
-    remaining = np.ones(pts.shape[0], dtype=bool)
-    for pred, mat in zip(spec.regions.predicates, spec.matrices):
-        mask = remaining & _matches_reference(pred, pts)
-        if mask.any():
-            out[mask] = pts[mask] @ mat.T
-            remaining &= ~mask
-            if not remaining.any():
-                break
+    for i in range(len(pts)):
+        first = next(j for j, mask in enumerate(masks) if mask[i])
+        out[i] = products[first][i]
     return out
 
 
@@ -410,6 +408,23 @@ def test_region_dispatch_equals_gather_scatter_reference(dim):
         assert np.array_equal(
             dynamics._apply_matrices(lone, pts), _apply_matrices_reference(lone, pts)
         )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_a_rows_product_does_not_depend_on_its_batch(dim):
+    # a row gets the same bits in a two-row batch as in a batch of 64, alone
+    # in its region or not: every region multiplies the whole batch
+    rng = np.random.default_rng(200 + dim)
+    for _ in range(40):
+        n_regions = int(rng.integers(2, 5))
+        preds = [_random_predicate(rng, dim) for _ in range(n_regions - 1)]
+        mats = [rng.normal(size=(dim, dim)) for _ in range(n_regions)]
+        spec = SystemSpec.slds(list(zip(preds + [Predicate(catch_all=True)], mats)))
+        pts = rng.normal(scale=float(rng.uniform(0.5, 4.0)), size=(64, dim))
+        full = dynamics._apply_matrices(spec, pts)
+        for _ in range(10):
+            i, j = rng.choice(len(pts), size=2, replace=False)
+            assert np.array_equal(dynamics._apply_matrices(spec, pts[[i, j]])[0], full[i])
 
 
 @pytest.mark.parametrize("a", [0.5, -0.5, 0.0, -0.0, 1e-300, -3.0])
@@ -958,7 +973,8 @@ def test_paths_stepped_in_place_equal_the_contiguous_reference(dim):
             ),
             [-3.0, 0.5],
         ),
-        # linear, so no region holds a lone row
+        # three and eight dimensions, where a batch of one row can round
+        # differently from the same row in a larger batch
         (
             SystemSpec.lds([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]]),
             [2.0, -1.0, 0.5],
@@ -974,9 +990,9 @@ def test_paths_stepped_in_place_equal_the_contiguous_reference(dim):
 @pytest.mark.parametrize("n_steps", [0, 1, 17])
 def test_simulate_endpoints_equal_batch_final_states(spec, x0, n_steps, monkeypatch):
     # a budget of three trajectories per chunk leaves a partial last chunk;
-    # from three dimensions on, numpy's product of a lone row can round
-    # differently from the same row in a batch, so there four per chunk
-    # leave a last chunk of two
+    # numpy multiplies a batch of one row by a matrix-vector routine, which
+    # can round differently from the same row in a larger batch; from three
+    # dimensions on, four per chunk leave a last chunk of two
     per_chunk = 3 if spec.dim < 3 else 4
     budget = per_chunk * max(1, n_steps * spec.dim * 8)
     monkeypatch.setattr(dynamics, "_NOISE_BUDGET_BYTES", budget)

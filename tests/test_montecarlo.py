@@ -705,7 +705,7 @@ def test_iid_replication_steps_through_one_stream(monkeypatch):
 IID_CHUNKING = [
     (SystemSpec.lds([[0.5]]), "norm", 50),
     # 2-D: the chunks keep at least two rows, so no product takes numpy's
-    # lone-row route
+    # matrix-vector route for a batch of one row
     (SystemSpec.lds([[0.5, 0.3], [0.0, 0.4]]), "norm", 50),
 ]
 
